@@ -20,8 +20,10 @@
 //	-parallel N       experiment fan-out for `all` (default GOMAXPROCS);
 //	                  every experiment runs in virtual time, so the tables
 //	                  are byte-identical at any fan-out
-//	-shards N         shard count for sharded-kernel experiments (0 = one
-//	                  per core); results are byte-identical at any value
+//	-shards N         shard count for the fleet (E32), the one experiment on
+//	                  the sharded kernel (0 = one per core); every other
+//	                  experiment ignores it; results are byte-identical at
+//	                  any value
 //	-sweep-workers N  barrier sweep worker-pool size for fleet experiments
 //	                  (0 = GOMAXPROCS); results are byte-identical at any value
 //	-trace-out PATH   write Chrome trace-event JSON (open in Perfetto or
@@ -62,7 +64,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for `all` (1 = serial; tables are identical either way)")
 	shards := flag.Int("shards", 0,
-		"shard count for experiments on the sharded kernel (0 = one per core; results are identical at any value)")
+		"shard count for the fleet (E32), the one experiment on the sharded kernel; others ignore it (0 = one per core; results are identical at any value)")
 	sweepWorkers := flag.Int("sweep-workers", 0,
 		"barrier sweep worker-pool size for fleet experiments (0 = GOMAXPROCS; results are identical at any value)")
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON to this directory (or .json file for a single experiment)")
@@ -343,8 +345,9 @@ flags (before or after the subcommand):
   -quick            shrink workloads for a fast pass
   -format FMT       text (default) or csv
   -parallel N       worker goroutines for 'all' (default GOMAXPROCS)
-  -shards N         shard count for sharded-kernel experiments (default:
-                    one per core; tables are identical at any value)
+  -shards N         shard count for the fleet (E32), the one experiment on
+                    the sharded kernel; others ignore it (default: one
+                    per core; tables are identical at any value)
   -sweep-workers N  barrier sweep worker-pool size for fleet experiments
                     (default: GOMAXPROCS; tables are identical at any value)
   -trace-out PATH   Chrome trace-event JSON: directory for <ID>.trace.json,

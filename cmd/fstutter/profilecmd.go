@@ -146,11 +146,10 @@ func cmdPerfDiff(oldPath, newPath string, threshold float64, gate bool) {
 // full sample set runs in seconds.
 var benchTargets = []string{"E01", "E05", "E14", "E23", "E32"}
 
-// benchSuites are the plane-level workloads timed end to end at the
-// configured shard count: every experiment of the sharded switch fabric
-// and of the cluster plane, run back to back as one op. These are the
-// suites the shard-count flag exists for, so their wall-clock is the
-// number the "-shards pays off" question is answered with.
+// benchSuites are the plane-level workloads timed end to end: every
+// experiment of the switch fabric and of the cluster plane, run back to
+// back as one op. Both planes run on one plain kernel, so -shards does
+// not affect them; their wall-clock is the plane's own cost.
 var benchSuites = []struct {
 	name string
 	ids  []string
@@ -236,8 +235,8 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 			})
 			b.Samples = append(b.Samples, float64(res.NsPerOp()))
 		}
-		fmt.Fprintf(os.Stderr, "bench %-16s (%d shards) median %.4g ns/op over %d samples\n",
-			b.Name, cfg.ShardCount(), b.Median(), samples)
+		fmt.Fprintf(os.Stderr, "bench %-16s median %.4g ns/op over %d samples\n",
+			b.Name, b.Median(), samples)
 		art.Benchmarks = append(art.Benchmarks, b)
 	}
 

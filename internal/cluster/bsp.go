@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"failstutter/internal/sim"
 	"failstutter/internal/trace"
@@ -55,9 +54,6 @@ func RunBSP(p *Pool, params BSPParams) BSPReport {
 	grain := params.Grain
 	if grain < 1 {
 		grain = 20
-	}
-	if p.ss != nil {
-		return runBSPSharded(p, params, grain)
 	}
 	s := p.sim
 	n := p.Size()
@@ -163,137 +159,6 @@ func RunBSP(p *Pool, params BSPParams) BSPReport {
 
 	startRound()
 	s.Run()
-	for _, w := range p.workers {
-		w.finish = nil
-	}
-	if !done {
-		panic(fmt.Sprintf("cluster: BSP stalled in round %d with %d workers short of the barrier", round, barrier))
-	}
-	return BSPReport{
-		Params:         params,
-		Makespan:       doneAt - start,
-		PerWorkerUnits: perWorkerUnits(p, before),
-	}
-}
-
-// runBSPSharded is the barrier-engine form of RunBSP: workers record
-// superstep arrivals shard-locally, the coordinator's barrier settles them
-// in (time, worker) order — elastic pulls are granted in that order, the
-// placement-invariant analogue of completion order — and the next round
-// (or next grain) is dispatched at the window horizon. A round therefore
-// ends at the exact event time its last worker arrived, while the next
-// begins at most one lookahead later; once the final round clears, nothing
-// is dispatched and the coordinator drains naturally.
-func runBSPSharded(p *Pool, params BSPParams, grain int) BSPReport {
-	ss := p.ss
-	n := p.Size()
-	start := ss.Now()
-	before := snapshotUnits(p)
-
-	comp := make([][]completionRec, ss.Shards())
-	for _, w := range p.workers {
-		w := w
-		w.finish = func(*Worker) {
-			comp[w.shard] = append(comp[w.shard], completionRec{at: w.sim.Now(), w: w.id})
-		}
-	}
-
-	var (
-		round     int
-		barrier   int
-		remaining float64
-		done      bool
-		doneAt    sim.Time
-	)
-
-	tr := p.tracer
-	var bspTrack trace.TrackID
-	var roundSpan trace.SpanID
-	if tr != nil {
-		bspTrack = tr.Track("bsp")
-	}
-
-	execAt := func(w *Worker, at sim.Time, units float64) {
-		if at > w.sim.Now() {
-			w.sim.At(at, func() { w.exec(units) })
-		} else {
-			w.exec(units)
-		}
-	}
-	startRoundAt := func(at sim.Time) {
-		barrier = n
-		if params.Elastic {
-			remaining = float64(params.UnitsPerWorkerRound) * float64(n)
-		}
-		if tr != nil {
-			roundSpan = tr.Begin(bspTrack, fmt.Sprintf("superstep-%d", round), "bsp", 0, at)
-		}
-		for _, w := range p.workers {
-			if params.Elastic {
-				g := float64(grain)
-				if g > remaining {
-					g = remaining
-				}
-				if g <= 0 {
-					barrier--
-					continue
-				}
-				remaining -= g
-				execAt(w, at, g)
-			} else {
-				execAt(w, at, float64(params.UnitsPerWorkerRound))
-			}
-		}
-	}
-	// arrive settles one worker's barrier arrival at event time at,
-	// dispatching the next round (when one remains) at horizon h.
-	arrive := func(at, h sim.Time) {
-		barrier--
-		if barrier != 0 {
-			return
-		}
-		if tr != nil {
-			tr.End(roundSpan, at)
-		}
-		round++
-		if round == params.Rounds {
-			done = true
-			doneAt = at
-			return
-		}
-		startRoundAt(h)
-	}
-
-	var merged []completionRec
-	ss.SetBarrier(func(h sim.Time) {
-		merged = merged[:0]
-		for shard := range comp {
-			merged = append(merged, comp[shard]...)
-			comp[shard] = comp[shard][:0]
-		}
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].at != merged[j].at {
-				return merged[i].at < merged[j].at
-			}
-			return merged[i].w < merged[j].w
-		})
-		for _, rec := range merged {
-			if params.Elastic && remaining > 0 {
-				g := float64(grain)
-				if g > remaining {
-					g = remaining
-				}
-				remaining -= g
-				execAt(p.workers[rec.w], h, g)
-				continue
-			}
-			arrive(rec.at, h)
-		}
-	})
-
-	startRoundAt(start)
-	ss.Run()
-	ss.SetBarrier(nil)
 	for _, w := range p.workers {
 		w.finish = nil
 	}

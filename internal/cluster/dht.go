@@ -41,7 +41,6 @@ type DHTParams struct {
 type DHT struct {
 	p     DHTParams
 	sim   *sim.Simulator
-	ss    *sim.ShardedSimulator // non-nil when built with NewShardedDHT
 	nodes []*DHTNode
 	flags []bool
 	hints int64
@@ -165,22 +164,7 @@ func NewDHT(s *sim.Simulator, p DHTParams) *DHT {
 	return d
 }
 
-// NewShardedDHT builds the table under a sharded coordinator, pinned as a
-// group to the shard its identity ("dht") hashes to. The pin is load-borne,
-// not incidental: a synchronous put's ack path closes the moment the last
-// replica write completes — a zero-latency interaction that admits no
-// positive lookahead — so the bricks cannot be split across shards. Running
-// under the coordinator still matters: the table shares the fleet's window
-// clock with whatever else the experiment runs, and its results are
-// trivially byte-identical at every shard count.
-func NewShardedDHT(ss *sim.ShardedSimulator, p DHTParams) *DHT {
-	d := NewDHT(ss.Shard(ss.ShardFor("dht")), p)
-	d.ss = ss
-	return d
-}
-
-// Sim returns the simulator the table runs on — its home shard's kernel
-// when built with NewShardedDHT.
+// Sim returns the simulator the table runs on.
 func (d *DHT) Sim() *sim.Simulator { return d.sim }
 
 // SetTracer attaches a span tracer: every node's station records its
@@ -188,14 +172,6 @@ func (d *DHT) Sim() *sim.Simulator { return d.sim }
 // track from issue to acknowledgment (the key as the span arg), and every
 // hinted-handoff release is an instant. A nil tracer detaches.
 func (d *DHT) SetTracer(t *trace.Tracer) {
-	// A sharded DHT lives entirely on its home shard; with per-shard
-	// collectors installed, its spans record there and MergeTelemetry
-	// folds them into the tracer passed here.
-	if t != nil && d.ss != nil {
-		if st := d.ss.ShardTracer(d.ss.ShardFor("dht")); st != nil {
-			t = st
-		}
-	}
 	d.tracer = t
 	if t != nil {
 		d.track = t.Track("dht")
@@ -209,14 +185,6 @@ func (d *DHT) SetTracer(t *trace.Tracer) {
 // the given audit trail, wrapping each node's flag in a detect.Audited
 // transition logger with the sampled rate and fleet median as evidence.
 func (d *DHT) EnableAudit(log *trace.AuditLog) {
-	// Same redirect as SetTracer: node verdicts are issued on the home
-	// shard, so they record into its audit collector and reach the log
-	// passed here through the deterministic (time, component) merge.
-	if log != nil && d.ss != nil {
-		if sa := d.ss.ShardAudit(d.ss.ShardFor("dht")); sa != nil {
-			log = sa
-		}
-	}
 	n := len(d.nodes)
 	d.audDet = make([]*flagDetector, n)
 	d.audited = make([]*detect.Audited, n)
@@ -479,9 +447,7 @@ func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 			active--
 			if active == 0 {
 				loadRunning = false
-				if d.ss == nil {
-					s.Stop()
-				}
+				s.Stop()
 			}
 		}
 		issue()
@@ -506,23 +472,7 @@ func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 		}
 		s.After(d.p.SampleEvery, tick)
 	}
-	if d.ss != nil {
-		// Sharded: the home shard's kernel is driven by the coordinator,
-		// and an armed GC schedule would keep its event chain alive forever,
-		// so the run is stopped from the barrier the moment the last client
-		// acknowledges. Counters are untouched by anything after that ack —
-		// stale load ticks see loadRunning false — so the extra events the
-		// final window runs change nothing.
-		d.ss.SetBarrier(func(h sim.Time) {
-			if active == 0 {
-				d.ss.Stop()
-			}
-		})
-		d.ss.Run()
-		d.ss.SetBarrier(nil)
-	} else {
-		s.Run()
-	}
+	s.Run()
 	if active != 0 {
 		panic(fmt.Sprintf("cluster: DHT load stalled with %d clients blocked (is a replica permanently at speed 0?)", active))
 	}
@@ -533,11 +483,7 @@ func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 // must be cancelled first, or the drain never finishes) and, in adaptive
 // mode, takes one detector sample so flags reflect the drained state.
 func (d *DHT) Settle() {
-	if d.ss != nil {
-		d.ss.Run()
-	} else {
-		d.sim.Run()
-	}
+	d.sim.Run()
 	if d.p.Adaptive {
 		d.sample()
 	}

@@ -99,25 +99,9 @@ type engine struct {
 	// next returns worker w's next task, or ok=false to idle the worker.
 	next func(w int) (Task, bool)
 	// monitor, when non-nil, runs every monitorPeriod of virtual time
-	// until the job completes (reissue timeouts, detect-avoid sampling),
-	// with the tick's virtual time — the kernel clock in a serial run, the
-	// tick instant in a sharded one, where the barrier replays ticks.
-	monitor       func(now sim.Time)
+	// until the job completes (reissue timeouts, detect-avoid sampling).
+	monitor       func()
 	monitorPeriod sim.Duration
-
-	// Sharded-run state (see sharded.go): per-shard completion buffers and
-	// cut-waste accumulators, the merge scratch, per-worker throughput
-	// samples taken at tick times on each worker's own shard, the next
-	// unprocessed monitor tick, and the barrier's current event time and
-	// dispatch horizon.
-	comp       [][]completionRec
-	mergedComp []completionRec
-	cutWaste   []float64
-	sampled    []float64
-	needSample bool
-	nextMon    sim.Time
-	curNow     sim.Time
-	hNow       sim.Time
 
 	startUnits []float64
 	start      sim.Time
@@ -164,29 +148,11 @@ func newEngine(name string, p *Pool, tasks []Task) *engine {
 }
 
 // instant records a scheduler decision on the "sched" track when tracing
-// is on. In a sharded run the decision is made at the barrier, where no
-// kernel clock is authoritative; curNow carries the event time being
-// settled.
+// is on.
 func (e *engine) instant(name string) {
-	if e.tr == nil {
-		return
+	if e.tr != nil {
+		e.tr.Instant(e.trTrack, name, "sched", e.p.sim.Now())
 	}
-	at := e.p.sim.Now()
-	if e.p.ss != nil {
-		at = e.curNow
-	}
-	e.tr.Instant(e.trTrack, name, "sched", at)
-}
-
-// unitsNow returns worker i's cumulative units for monitor sampling: the
-// live counter in a serial run, the latest tick-time sample in a sharded
-// one — reading the live counter cross-shard would yield a value dependent
-// on how far the worker's shard happened to run, i.e. on placement.
-func (e *engine) unitsNow(i int) float64 {
-	if e.p.ss != nil {
-		return e.sampled[i]
-	}
-	return e.p.workers[i].UnitsDone()
 }
 
 // contiguousQueues splits tasks into per-worker contiguous equal-count
@@ -203,9 +169,6 @@ func contiguousQueues(tasks []Task, n int) [][]Task {
 
 // run drives the job to completion on the pool's simulator.
 func (e *engine) run() Report {
-	if e.p.ss != nil {
-		return e.runSharded(e.p.ss.Now())
-	}
 	s := e.p.sim
 	e.start = s.Now()
 	e.startUnits = snapshotUnits(e.p)
@@ -225,7 +188,7 @@ func (e *engine) run() Report {
 				if e.finished {
 					return
 				}
-				e.monitor(s.Now())
+				e.monitor()
 				if !e.finished {
 					s.After(e.monitorPeriod, tick)
 				}
@@ -273,20 +236,13 @@ func (e *engine) dispatch(w int) {
 }
 
 // wake re-dispatches idle workers (lowest id first) after new work
-// appears: a monitor requeue or a backlog migration. In a sharded run the
-// wake happens at the barrier and the dispatches land at the window
-// horizon.
+// appears: a monitor requeue or a backlog migration.
 func (e *engine) wake() {
 	for i := range e.p.workers {
 		if e.finished {
 			return
 		}
-		if !e.idle[i] {
-			continue
-		}
-		if e.p.ss != nil {
-			e.dispatchShardedAt(i, e.hNow)
-		} else {
+		if e.idle[i] {
 			e.dispatch(i)
 		}
 	}
@@ -428,35 +384,29 @@ func (g GaugedPartition) Run(p *Pool, tasks []Task) Report {
 	// pays for (it counts toward units done, not toward the makespan —
 	// the job is timed from the post-gauge partition, as an install-time
 	// microbenchmark would be).
+	s := p.sim
 	n := p.Size()
-	var speeds []float64
-	var startAt sim.Time
-	if p.ss != nil {
-		speeds, startAt = gaugeSharded(p, probe)
-	} else {
-		s := p.sim
-		speeds = make([]float64, n)
-		t0 := s.Now()
-		remaining := n
-		for _, w := range p.workers {
-			w.finish = func(w *Worker) {
-				speeds[w.id] = float64(probe) / (s.Now() - t0)
-				remaining--
-				if remaining == 0 {
-					s.Stop()
-				}
+	speeds := make([]float64, n)
+	t0 := s.Now()
+	remaining := n
+	for _, w := range p.workers {
+		w.finish = func(w *Worker) {
+			speeds[w.id] = float64(probe) / (s.Now() - t0)
+			remaining--
+			if remaining == 0 {
+				s.Stop()
 			}
 		}
-		for _, w := range p.workers {
-			w.exec(float64(probe))
-		}
-		s.Run()
-		for _, w := range p.workers {
-			w.finish = nil
-		}
-		if remaining != 0 {
-			panic("cluster: gauged-partition probe stalled (a probed worker never finished)")
-		}
+	}
+	for _, w := range p.workers {
+		w.exec(float64(probe))
+	}
+	s.Run()
+	for _, w := range p.workers {
+		w.finish = nil
+	}
+	if remaining != 0 {
+		panic("cluster: gauged-partition probe stalled (a probed worker never finished)")
 	}
 
 	// Proportional contiguous split by measured speed.
@@ -477,12 +427,6 @@ func (g GaugedPartition) Run(p *Pool, tasks []Task) Report {
 		idx += count
 	}
 	e.next = e.popOwn
-	if p.ss != nil {
-		// The gauge stopped the coordinator mid-stream; the job starts at
-		// the horizon of the window that observed the last probe finish —
-		// the placement-invariant analogue of "the instant the gauge ends".
-		return e.runSharded(startAt)
-	}
 	return e.run()
 }
 
@@ -534,12 +478,13 @@ func (sp speculative) Run(p *Pool, tasks []Task) Report {
 		}
 		e.monitorPeriod = period
 		e.medScratch = make([]float64, 0, len(tasks))
-		e.monitor = func(now sim.Time) {
+		e.monitor = func() {
 			if len(e.durations) < 3 {
 				return
 			}
 			med := stats.MedianInPlace(append(e.medScratch[:0], e.durations...))
 			limit := sp.timeoutFactor * med
+			now := p.sim.Now()
 			requeued := false
 			for id := range e.byID {
 				if e.firstStart[id] < 0 || e.claimed[id] || e.clones[id] >= e.maxClones {
@@ -710,10 +655,9 @@ func (d DetectAvoid) Run(p *Pool, tasks []Task) Report {
 	}
 
 	e.monitorPeriod = sample
-	e.needSample = true
-	e.monitor = func(now sim.Time) {
-		for i := range p.workers {
-			cur := e.unitsNow(i)
+	e.monitor = func() {
+		for i, w := range p.workers {
+			cur := w.UnitsDone()
 			rates[i] = cur - last[i]
 			last[i] = cur
 		}
@@ -724,6 +668,7 @@ func (d DetectAvoid) Run(p *Pool, tasks []Task) Report {
 			sweep(med)
 		}
 		if audited != nil {
+			now := p.sim.Now()
 			for i, a := range audited {
 				audDet[i].med = med
 				a.Observe(now, rates[i])

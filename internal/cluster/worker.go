@@ -31,12 +31,6 @@ type Worker struct {
 	id int
 	st *sim.Station
 
-	// sim is the kernel the worker's station runs on — the pool's lone
-	// simulator in a serial pool, the worker's home shard in a sharded one.
-	// shard is that home shard's index (0 in a serial pool).
-	sim   *sim.Simulator
-	shard int
-
 	// req is the single reusable request for this worker's executions: a
 	// worker serves one task at a time, so the steady-state step path
 	// (exec -> station completion -> dispatch -> exec) allocates nothing.
@@ -56,7 +50,7 @@ func newWorker(s *sim.Simulator, id int, quantum sim.Duration) *Worker {
 	if quantum <= 0 {
 		panic("cluster: quantum must be positive")
 	}
-	w := &Worker{id: id, sim: s}
+	w := &Worker{id: id}
 	w.st = sim.NewStation(s, fmt.Sprintf("worker-%d", id), 1/quantum)
 	w.req.OnDone = w.reqDone
 	return w
@@ -108,12 +102,8 @@ func (w *Worker) reqDone(r *sim.Request) {
 }
 
 // Pool is a set of workers sharing one simulator and work-unit quantum.
-// A sharded pool (NewShardedPool) additionally spreads its workers across
-// the coordinator's shards; jobs running on it dispatch at window barriers
-// instead of completion instants.
 type Pool struct {
 	sim     *sim.Simulator
-	ss      *sim.ShardedSimulator // nil in a serial pool
 	workers []*Worker
 	quantum sim.Duration
 	// tracer, when non-nil, also records job-level activity (BSP
@@ -135,34 +125,8 @@ func NewPool(s *sim.Simulator, n int, quantum sim.Duration) *Pool {
 	return p
 }
 
-// NewShardedPool builds n workers on the sharded coordinator, placing
-// worker i on the shard its identity ("worker-<i>") hashes to. Jobs run on
-// such a pool through the barrier engine: completions are recorded
-// shard-locally during each safe window and settled — claims, waste,
-// re-dispatch — at the barrier in (time, worker) order, so results are
-// byte-identical at every shard count.
-func NewShardedPool(ss *sim.ShardedSimulator, n int, quantum sim.Duration) *Pool {
-	if n < 1 {
-		panic("cluster: pool needs at least one worker")
-	}
-	p := &Pool{sim: ss.Shard(0), ss: ss, quantum: quantum}
-	for i := 0; i < n; i++ {
-		home := ss.ShardFor(fmt.Sprintf("worker-%d", i))
-		w := newWorker(ss.Shard(home), i, quantum)
-		w.shard = home
-		p.workers = append(p.workers, w)
-	}
-	return p
-}
-
-// Sim returns the simulator the pool runs on. For a sharded pool this is
-// shard 0's kernel — fine for reading time before a run, wrong for
-// scheduling mid-run injections on workers living on other shards; use
-// SetSpeedAt for those.
+// Sim returns the simulator the pool runs on.
 func (p *Pool) Sim() *sim.Simulator { return p.sim }
-
-// Sharded returns the sharded coordinator, or nil for a serial pool.
-func (p *Pool) Sharded() *sim.ShardedSimulator { return p.ss }
 
 // Workers returns the pool members.
 func (p *Pool) Workers() []*Worker { return p.workers }
@@ -171,23 +135,7 @@ func (p *Pool) Workers() []*Worker { return p.workers }
 // each execution's queue/service intervals on a "worker-<id>" track in
 // virtual time, and to the pool itself, so jobs running on it (BSP,
 // schedulers) emit their own spans. A nil tracer detaches.
-//
-// On a sharded pool whose coordinator has per-shard collectors installed
-// (sim.ShardedSimulator.SetTelemetry), the attachment redirects: each
-// worker's station records into its home shard's collector — the only
-// placement where window-time appends stay race-free and lock-free — and
-// the pool's own job-level spans (BSP supersteps, scheduler decisions,
-// all recorded single-threaded in barrier context) land on shard 0's
-// collector. MergeTelemetry then folds everything back into the tracer
-// passed here.
 func (p *Pool) SetTracer(t *trace.Tracer) {
-	if t != nil && p.ss != nil && p.ss.ShardTracer(0) != nil {
-		p.tracer = p.ss.ShardTracer(0)
-		for _, w := range p.workers {
-			w.st.SetTracer(p.ss.ShardTracer(w.shard))
-		}
-		return
-	}
 	p.tracer = t
 	for _, w := range p.workers {
 		w.st.SetTracer(t)
@@ -209,16 +157,14 @@ func (p *Pool) Quantum() sim.Duration { return p.quantum }
 func (p *Pool) Hog(i int, speed float64, d sim.Duration) {
 	w := p.workers[i]
 	w.SetSpeed(speed)
-	w.sim.After(d, func() { w.SetSpeed(1) })
+	p.sim.After(d, func() { w.SetSpeed(1) })
 }
 
 // SetSpeedAt schedules a speed change for worker i at the given virtual
-// time on the worker's own kernel — the one place such an injection is
-// safe in a sharded pool, where a foreign shard's clock must not be used
-// to time another worker's fault.
+// time — a mid-job fault injection.
 func (p *Pool) SetSpeedAt(i int, at sim.Time, speed float64) {
 	w := p.workers[i]
-	w.sim.At(at, func() { w.SetSpeed(speed) })
+	p.sim.At(at, func() { w.SetSpeed(speed) })
 }
 
 // snapshotUnits captures every worker's cumulative units.

@@ -26,10 +26,7 @@ type SwitchParams struct {
 	// WireLatency is the one-way propagation delay of every hop between a
 	// node and the crossbar: reserve requests, buffer grants and message
 	// heads each pay one wire crossing. Zero models an instantaneous
-	// fabric — the only mode NewSwitch supports. NewShardedSwitch requires
-	// it positive: the wire is the fabric's minimum cross-port delay and
-	// therefore the conservative lookahead that lets ports run on
-	// different shards.
+	// fabric.
 	WireLatency sim.Duration
 }
 
@@ -39,43 +36,31 @@ type SwitchParams struct {
 // is full. Contended buffer space is granted by route weight, modelling
 // the Myrinet unfairness observation; equal weights yield FIFO fairness.
 //
-// A switch runs in one of two modes. NewSwitch builds the serial mode:
-// every port on one kernel, hops instantaneous. NewShardedSwitch spreads
-// the port groups (sender i + output port i) across the shards of a
-// ShardedSimulator by identity hash; every cross-port hop then travels
-// one WireLatency over the cross-shard data path, and same-time arrivals
-// at an output port are ordered by a placement-invariant mailbox key so
-// results are byte-identical at any shard count.
+// Every hop between a sender and an output port is an event one
+// WireLatency ahead. Arrivals at an output port pass through its mailbox,
+// so same-time arrivals from different senders are handled in sender-key
+// order rather than in the order their hops happened to be scheduled.
 type Switch struct {
-	s      *sim.Simulator        // serial kernel; nil in sharded mode
-	ss     *sim.ShardedSimulator // sharded coordinator; nil in serial mode
+	s      *sim.Simulator
 	params SwitchParams
 	outs   []*outPort
 	sends  []*Sender
-	// shardOf maps port -> shard in sharded mode.
-	shardOf []int
-	seq     uint64
 }
 
 type outPort struct {
-	kernel   *sim.Simulator
 	station  *sim.Station
 	comp     *faults.Composite
-	mb       *sim.Mailbox // sharded mode: orders same-time arrivals
-	origin   string
+	mb       *sim.Mailbox // orders same-time arrivals by sender key
 	buffered float64
 	limit    float64
 	waiters  []*bufWaiter
-	// delivered tracks bytes fully drained by the receiver;
-	// lastDeliveredAt is the instant of the most recent drain completion.
-	delivered       float64
-	lastDeliveredAt sim.Time
+	// delivered tracks bytes fully drained by the receiver.
+	delivered float64
 }
 
 // bufWaiter is one blocked reservation. Admission order is (weight desc,
 // request-arrival time asc, key asc); key embeds (sender port, sender
-// event seq), so the order is placement-invariant — it never depends on
-// which shard a contending sender happens to run on.
+// event seq).
 type bufWaiter struct {
 	size   float64
 	weight float64
@@ -84,99 +69,41 @@ type bufWaiter struct {
 	grant  func()
 }
 
-// NewSwitch builds the serial switch and its per-node senders: one
-// kernel, instantaneous hops.
+// NewSwitch builds the switch and its per-node senders on one kernel.
 func NewSwitch(s *sim.Simulator, p SwitchParams) *Switch {
-	validateSwitchParams(p)
-	if p.WireLatency != 0 {
-		panic("device: the serial switch models an instantaneous fabric; use NewShardedSwitch for WireLatency > 0")
-	}
-	sw := &Switch{s: s, params: p}
-	for i := 0; i < p.Ports; i++ {
-		sw.outs = append(sw.outs, newOutPort(s, i, p))
-	}
-	for i := 0; i < p.Ports; i++ {
-		sw.sends = append(sw.sends, newSender(sw, s, i, p))
-	}
-	return sw
-}
-
-// NewShardedSwitch builds the switch across the shards of ss: port group
-// i (sender i and output port i) lives on shard ShardFor("port-i"). The
-// wire latency must be positive and at least the coordinator's lookahead
-// — it is the delay every cross-port interaction pays, which is exactly
-// what makes the parallel windows safe.
-func NewShardedSwitch(ss *sim.ShardedSimulator, p SwitchParams) *Switch {
-	validateSwitchParams(p)
-	if p.WireLatency <= 0 {
-		panic("device: sharded switch needs a positive WireLatency")
-	}
-	if ss.Lookahead() > p.WireLatency {
-		panic(fmt.Sprintf("device: lookahead %v exceeds wire latency %v — cross-port sends would violate the bound",
-			ss.Lookahead(), p.WireLatency))
-	}
-	sw := &Switch{ss: ss, params: p, shardOf: make([]int, p.Ports)}
-	for i := 0; i < p.Ports; i++ {
-		sw.shardOf[i] = ss.ShardFor(fmt.Sprintf("port-%d", i))
-	}
-	for i := 0; i < p.Ports; i++ {
-		o := newOutPort(ss.Shard(sw.shardOf[i]), i, p)
-		o.mb = sim.NewMailbox(o.kernel)
-		sw.outs = append(sw.outs, o)
-	}
-	for i := 0; i < p.Ports; i++ {
-		sw.sends = append(sw.sends, newSender(sw, ss.Shard(sw.shardOf[i]), i, p))
-	}
-	return sw
-}
-
-func validateSwitchParams(p SwitchParams) {
 	if p.Ports < 2 || p.LinkRate <= 0 || p.DrainRate <= 0 || p.BufferBytes <= 0 || p.WireLatency < 0 {
 		panic(fmt.Sprintf("device: invalid switch params %+v", p))
 	}
-}
-
-func newOutPort(s *sim.Simulator, i int, p SwitchParams) *outPort {
-	st := sim.NewStation(s, fmt.Sprintf("out-%d", i), p.DrainRate)
-	return &outPort{
-		kernel:  s,
-		station: st,
-		comp:    faults.NewComposite(st),
-		origin:  fmt.Sprintf("out-%d", i),
-		limit:   p.BufferBytes,
+	sw := &Switch{s: s, params: p}
+	for i := 0; i < p.Ports; i++ {
+		st := sim.NewStation(s, fmt.Sprintf("out-%d", i), p.DrainRate)
+		sw.outs = append(sw.outs, &outPort{
+			station: st,
+			comp:    faults.NewComposite(st),
+			mb:      sim.NewMailbox(s),
+			limit:   p.BufferBytes,
+		})
 	}
-}
-
-func newSender(sw *Switch, s *sim.Simulator, i int, p SwitchParams) *Sender {
-	link := sim.NewStation(s, fmt.Sprintf("link-%d", i), p.LinkRate)
-	return &Sender{
-		sw:     sw,
-		id:     i,
-		kernel: s,
-		link:   link,
-		comp:   faults.NewComposite(link),
-		origin: fmt.Sprintf("sender-%d", i),
-		weight: 1,
+	for i := 0; i < p.Ports; i++ {
+		link := sim.NewStation(s, fmt.Sprintf("link-%d", i), p.LinkRate)
+		sw.sends = append(sw.sends, &Sender{
+			sw:     sw,
+			id:     i,
+			link:   link,
+			comp:   faults.NewComposite(link),
+			weight: 1,
+		})
 	}
+	return sw
 }
 
 // SetTracer attaches a span tracer to every port group's stations: the
 // sender links ("link-<i>" tracks) and the output-port drains ("out-<i>"
-// tracks). In sharded mode with per-shard collectors installed
-// (sim.ShardedSimulator.SetTelemetry), port group i records into its home
-// shard's collector and the deterministic merge folds everything into the
-// tracer passed here; otherwise all stations record into it directly. A
-// nil tracer detaches.
+// tracks). A nil tracer detaches.
 func (sw *Switch) SetTracer(t *trace.Tracer) {
 	for i := range sw.outs {
-		st := t
-		if t != nil && sw.ss != nil {
-			if shardT := sw.ss.ShardTracer(sw.shardOf[i]); shardT != nil {
-				st = shardT
-			}
-		}
-		sw.outs[i].station.SetTracer(st)
-		sw.sends[i].link.SetTracer(st)
+		sw.outs[i].station.SetTracer(t)
+		sw.sends[i].link.SetTracer(t)
 	}
 }
 
@@ -204,80 +131,41 @@ func (sw *Switch) TotalDelivered() float64 {
 	return t
 }
 
-// LastDeliveredAt returns the latest drain-completion instant across all
-// receivers — the completion time of a fully drained workload. Safe to
-// read at a barrier in sharded mode.
-func (sw *Switch) LastDeliveredAt() sim.Time {
-	t := sim.Time(0)
-	for _, o := range sw.outs {
-		if o.lastDeliveredAt > t {
-			t = o.lastDeliveredAt
-		}
-	}
-	return t
-}
-
 // FreezeAt schedules a whole-switch freeze: for the duration, no port
 // drains and no link transmits. This reproduces the Myrinet
 // deadlock-recovery behaviour the paper describes — "halting all switch
-// traffic for two seconds". In sharded mode each port group freezes and
-// thaws via events on its own shard, at the same instants on every
-// shard count.
+// traffic for two seconds".
 func (sw *Switch) FreezeAt(at sim.Time, duration sim.Duration) {
 	const slot = "switch-freeze"
-	if sw.ss != nil {
-		for i := range sw.outs {
-			o, sd := sw.outs[i], sw.sends[i]
-			o.kernel.At(at, func() {
-				o.comp.Set(slot, 0)
-				sd.comp.Set(slot, 0)
-			})
-			o.kernel.At(at+duration, func() {
-				o.comp.Clear(slot)
-				sd.comp.Clear(slot)
-			})
-		}
-		return
-	}
 	sw.s.At(at, func() {
-		for _, o := range sw.outs {
+		for i, o := range sw.outs {
 			o.comp.Set(slot, 0)
+			sw.sends[i].comp.Set(slot, 0)
 		}
-		for _, sd := range sw.sends {
-			sd.comp.Set(slot, 0)
+	})
+	sw.s.At(at+duration, func() {
+		for i, o := range sw.outs {
+			o.comp.Clear(slot)
+			sw.sends[i].comp.Clear(slot)
 		}
-		sw.s.After(duration, func() {
-			for _, o := range sw.outs {
-				o.comp.Clear(slot)
-			}
-			for _, sd := range sw.sends {
-				sd.comp.Clear(slot)
-			}
-		})
 	})
 }
 
-// wire sends fn across the fabric from srcPort's shard to dstPort's
-// shard, one WireLatency ahead, attributed to origin in lookahead
-// diagnostics.
-func (sw *Switch) wire(srcPort, dstPort int, origin string, fn func()) {
-	at := sw.sends[srcPort].kernel.Now() + sw.params.WireLatency
-	sw.ss.Send(sw.shardOf[srcPort], sw.shardOf[dstPort], at, origin, fn)
+// hop runs fn one wire crossing from now.
+func (sw *Switch) hop(fn func()) {
+	sw.s.At(sw.s.Now()+sw.params.WireLatency, fn)
 }
 
-// wireToOut is wire with mailbox ordering at the destination output port:
-// same-time arrivals from different senders replay in (sender port,
-// sender event) order regardless of the partition.
-func (sw *Switch) wireToOut(srcPort, dstPort int, origin string, key uint64, fn func()) {
-	o := sw.outs[dstPort]
-	sw.wire(srcPort, dstPort, origin, func() { o.mb.Post(key, fn) })
+// hopToOut is hop into output port dst's mailbox under key.
+func (sw *Switch) hopToOut(dst int, key uint64, fn func()) {
+	mb := sw.outs[dst].mb
+	sw.hop(func() { mb.Post(key, fn) })
 }
 
-// reserve asks for buffer space at the destination; it calls grant
-// immediately if space is available, otherwise queues the request by
-// weight. Serial mode only — the sharded path runs arriveReserve on the
-// output port's own shard.
-func (sw *Switch) reserve(dst int, size, weight float64, grant func()) {
+// reserve runs at output port dst when a reserve request arrives: it
+// calls grant immediately if space is available, otherwise queues the
+// request for release to admit.
+func (sw *Switch) reserve(dst int, size, weight float64, key uint64, grant func()) {
 	o := sw.outs[dst]
 	if size > o.limit {
 		panic(fmt.Sprintf("device: message of %v bytes exceeds port buffer %v", size, o.limit))
@@ -287,25 +175,8 @@ func (sw *Switch) reserve(dst int, size, weight float64, grant func()) {
 		grant()
 		return
 	}
-	sw.seq++
 	o.waiters = append(o.waiters, &bufWaiter{
-		size: size, weight: weight, at: sw.s.Now(), key: sw.seq, grant: grant,
-	})
-}
-
-// arriveReserve is the sharded reserve path, running on the output
-// port's shard when the request crosses the wire.
-func (o *outPort) arriveReserve(size, weight float64, key uint64, grant func()) {
-	if size > o.limit {
-		panic(fmt.Sprintf("device: message of %v bytes exceeds port buffer %v", size, o.limit))
-	}
-	if o.buffered+size <= o.limit && len(o.waiters) == 0 {
-		o.buffered += size
-		grant()
-		return
-	}
-	o.waiters = append(o.waiters, &bufWaiter{
-		size: size, weight: weight, at: o.kernel.Now(), key: key, grant: grant,
+		size: size, weight: weight, at: sw.s.Now(), key: key, grant: grant,
 	})
 }
 
@@ -315,7 +186,6 @@ func (sw *Switch) release(dst int, size float64) {
 	o := sw.outs[dst]
 	o.buffered -= size
 	o.delivered += size
-	o.lastDeliveredAt = o.kernel.Now()
 	for len(o.waiters) > 0 {
 		// Pick the best waiter by (weight desc, at asc, key asc).
 		best := 0
@@ -343,10 +213,7 @@ type Message struct {
 	Dst  int
 	Size float64
 	// OnDelivered, if non-nil, fires when the receiver finishes draining
-	// the message. In sharded mode it runs on the destination port's
-	// shard and must only touch state owned by that shard; workloads that
-	// need global completion detection read DeliveredBytes at a barrier
-	// instead.
+	// the message.
 	OnDelivered func()
 }
 
@@ -356,17 +223,15 @@ type Message struct {
 type Sender struct {
 	sw     *Switch
 	id     int
-	kernel *sim.Simulator
 	link   *sim.Station
 	comp   *faults.Composite
-	origin string
 	weight float64
 
 	queue  []Message
 	active bool
 	onIdle func()
 	// evSeq numbers this sender's wire events; with the port id it forms
-	// the placement-invariant mailbox/waiter key.
+	// the mailbox/waiter key.
 	evSeq uint64
 
 	sent      uint64
@@ -397,7 +262,7 @@ func (sd *Sender) BytesSent() float64 { return sd.bytesSent }
 // Backlog returns the number of unsent queued messages.
 func (sd *Sender) Backlog() int { return len(sd.queue) }
 
-// nextKey mints the sender's next placement-invariant event key.
+// nextKey mints the sender's next event key.
 func (sd *Sender) nextKey() uint64 {
 	k := uint64(sd.id)<<32 | sd.evSeq
 	sd.evSeq++
@@ -427,7 +292,10 @@ func (sd *Sender) Enqueue(msgs []Message, onIdle func()) {
 	}
 }
 
-// next advances the in-order send loop.
+// next advances the in-order send loop. One message crosses the wire
+// three times: the reserve request to the output port, the grant back,
+// and — once the link has serialized the message — its head, before it
+// drains at the receiver.
 func (sd *Sender) next() {
 	if len(sd.queue) == 0 {
 		sd.active = false
@@ -440,50 +308,16 @@ func (sd *Sender) next() {
 	}
 	m := sd.queue[0]
 	sd.queue = sd.queue[1:]
-	if sd.sw.ss != nil {
-		sd.nextSharded(m)
-		return
-	}
-	sd.sw.reserve(m.Dst, m.Size, sd.weight, func() {
-		// Space reserved: serialize onto the fabric at link rate...
-		sd.link.SubmitFunc(m.Size, func(*sim.Request) {
-			sd.sent++
-			sd.bytesSent += m.Size
-			// ...then drain at the receiver.
-			out := sd.sw.outs[m.Dst]
-			out.station.SubmitFunc(m.Size, func(*sim.Request) {
-				sd.sw.release(m.Dst, m.Size)
-				if m.OnDelivered != nil {
-					m.OnDelivered()
-				}
-			})
-		})
-		sd.next()
-	})
-}
-
-// nextSharded runs one message through the sharded fabric: the reserve
-// request crosses the wire to the output port's shard, the grant crosses
-// back, the link serializes locally, and the message head crosses the
-// wire again before draining at the receiver. Each crossing takes the
-// batched lane path and lands in the port mailbox, so contention is
-// resolved in placement-invariant order.
-func (sd *Sender) nextSharded(m Message) {
 	sw := sd.sw
-	o := sw.outs[m.Dst]
-	// Both keys are minted here, on the sender's shard: the waiter key
-	// crosses the wire inside the closure rather than being derived on
-	// the destination shard.
-	waiterKey := sd.nextKey()
-	sw.wireToOut(sd.id, m.Dst, sd.origin, sd.nextKey(), func() {
-		o.arriveReserve(m.Size, sd.weight, waiterKey, func() {
-			// Granted, on the output port's shard: notify the sender.
-			sw.wire(m.Dst, sd.id, o.origin, func() {
+	key := sd.nextKey()
+	sw.hopToOut(m.Dst, key, func() {
+		sw.reserve(m.Dst, m.Size, sd.weight, key, func() {
+			sw.hop(func() {
 				sd.link.SubmitFunc(m.Size, func(*sim.Request) {
 					sd.sent++
 					sd.bytesSent += m.Size
-					sw.wireToOut(sd.id, m.Dst, sd.origin, sd.nextKey(), func() {
-						o.station.SubmitFunc(m.Size, func(*sim.Request) {
+					sw.hopToOut(m.Dst, sd.nextKey(), func() {
+						sw.outs[m.Dst].station.SubmitFunc(m.Size, func(*sim.Request) {
 							sw.release(m.Dst, m.Size)
 							if m.OnDelivered != nil {
 								m.OnDelivered()

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -205,5 +206,51 @@ func TestSwitchConservation(t *testing.T) {
 	s.Run()
 	if math.Abs(sw.TotalDelivered()-total) > 1e-9 {
 		t.Fatalf("delivered %v of %v bytes", sw.TotalDelivered(), total)
+	}
+}
+
+func TestSwitchWireLatency(t *testing.T) {
+	// Dyadic parameters keep every event time exact: L = 0.25 s per hop,
+	// S/LinkRate = 0.25 s, S/DrainRate = 0.5 s.
+	const (
+		wire = 0.25
+		size = 100.0
+		link = 400.0
+		drn  = 200.0
+	)
+	p := SwitchParams{Ports: 3, LinkRate: link, DrainRate: drn, BufferBytes: size, WireLatency: wire}
+
+	// One message pays three wire crossings (reserve, grant, head) plus
+	// serialization and drain.
+	s := sim.New()
+	sw := NewSwitch(s, p)
+	var at sim.Time
+	sw.Sender(0).Enqueue([]Message{{Dst: 1, Size: size, OnDelivered: func() { at = s.Now() }}}, nil)
+	s.Run()
+	if want := 3*wire + size/link + size/drn; at != want {
+		t.Fatalf("delivered at %v, want exactly %v", at, want)
+	}
+
+	// Port 2 holds one message. Senders 1 and 0 request it at the same
+	// instant with equal weights — sender 1's request scheduled first —
+	// into an empty port and into one sender 2 has already filled. Either
+	// way the grants follow sender key order, not scheduling order.
+	for _, prefill := range []bool{false, true} {
+		s := sim.New()
+		sw := NewSwitch(s, p)
+		var order []int
+		send := func(i int) {
+			sw.Sender(i).Enqueue([]Message{{Dst: 2, Size: size, OnDelivered: func() { order = append(order, i) }}}, nil)
+		}
+		want := "[0 1]"
+		if prefill {
+			send(2)
+			want = "[2 0 1]"
+		}
+		s.At(wire/2, func() { send(1); send(0) })
+		s.Run()
+		if got := fmt.Sprint(order); got != want {
+			t.Fatalf("prefill %v: delivery order %s, want %s", prefill, got, want)
+		}
 	}
 }

@@ -12,24 +12,6 @@ import (
 // costs at node speed 1: 50 microseconds of virtual time.
 const clusterQuantum = sim.Duration(50e-6)
 
-// clusterLookahead is the sharded coordinator's window for the cluster
-// plane, derived from the worker quantum — the minimum interval at which a
-// worker's state can matter to anyone else. Cross-worker coordination
-// happens at barriers (not via lookahead-bounded sends), so the value only
-// sets the dispatch granularity: each completion's follow-up dispatch lands
-// at most one quantum later than it would serially.
-const clusterLookahead = clusterQuantum
-
-// shardedCluster builds the coordinator the cluster experiments run on,
-// always at the configured shard count: traced runs install per-shard
-// telemetry collectors whose deterministic merge keeps every artifact
-// byte-identical at any count, so tracing no longer forces one shard.
-func shardedCluster(cfg Config, tel *Telemetry) *sim.ShardedSimulator {
-	ss := cfg.newSharded(cfg.ShardCount(), clusterLookahead)
-	tel.attachSharded(ss)
-	return ss
-}
-
 func init() {
 	register(Experiment{
 		ID:    "E14",
@@ -83,13 +65,13 @@ func fmtVirt(d sim.Duration) string { return fmt.Sprintf("%.3fs", d) }
 // its flag decisions to the audit trail. setup (may be nil) configures
 // the pool — fault injection — before the job starts. With tel == nil
 // this is exactly a bare scheduler run.
-func clusterRunT(cfg Config, tel *Telemetry, name string, sched cluster.Scheduler, tasks []cluster.Task, setup func(*cluster.Pool)) cluster.Report {
-	ss := shardedCluster(cfg, tel)
-	p := cluster.NewShardedPool(ss, 4, clusterQuantum)
+func clusterRunT(tel *Telemetry, name string, sched cluster.Scheduler, tasks []cluster.Task, setup func(*cluster.Pool)) cluster.Report {
+	s := sim.New()
+	p := cluster.NewPool(s, 4, clusterQuantum)
 	if tel != nil {
 		run := tel.nextRun(name)
 		p.SetTracer(tel.Tracer)
-		tel.attachProfileSharded(ss, run)
+		tel.attachProfile(s, run)
 		if da, ok := sched.(cluster.DetectAvoid); ok && tel.Audit != nil {
 			da.Audit = tel.Audit
 			sched = da
@@ -99,8 +81,7 @@ func clusterRunT(cfg Config, tel *Telemetry, name string, sched cluster.Schedule
 		setup(p)
 	}
 	r := sched.Run(p, tasks)
-	tel.endSharded(ss)
-	cfg.observeBarrier(name, ss)
+	tel.endRun(s)
 	return r
 }
 
@@ -112,14 +93,14 @@ func runE14(cfg Config) *Table {
 	tel := cfg.telemetry()
 	t.Telemetry = tel
 	run := func(name string, gc, adaptive bool) (int64, int64) {
-		ss := shardedCluster(cfg, tel)
-		d := cluster.NewShardedDHT(ss, cluster.DHTParams{
+		s := sim.New()
+		d := cluster.NewDHT(s, cluster.DHTParams{
 			Nodes: 4, Replication: 2, OpQuantum: clusterQuantum,
 			Adaptive: adaptive, SampleEvery: 1e-3,
 		})
 		if tel != nil {
 			d.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
+			tel.attachProfile(s, tel.nextRun(name))
 			if tel.Audit != nil && adaptive {
 				d.EnableAudit(tel.Audit)
 			}
@@ -129,8 +110,7 @@ func runE14(cfg Config) *Table {
 			defer cancel()
 		}
 		puts := d.RunLoad(8, dur)
-		tel.endSharded(ss)
-		cfg.observeBarrier(name, ss)
+		tel.endRun(s)
 		return puts, d.Hints()
 	}
 	healthy, _ := run("healthy-sync", false, false)
@@ -181,9 +161,9 @@ func runE15(cfg Config) *Table {
 		cluster.DetectAvoid{},
 	}
 	for _, sched := range schedulers {
-		base := clusterRunT(cfg, tel, sched.Name()+"-healthy", sched, tasks(), nil).Makespan
+		base := clusterRunT(tel, sched.Name()+"-healthy", sched, tasks(), nil).Makespan
 		// The hog halves node 0's effective CPU for the whole job.
-		hogged := clusterRunT(cfg, tel, sched.Name()+"-hog", sched, tasks(), func(p *cluster.Pool) {
+		hogged := clusterRunT(tel, sched.Name()+"-hog", sched, tasks(), func(p *cluster.Pool) {
 			p.Workers()[0].SetSpeed(0.5)
 		}).Makespan
 		ratio := hogged / base
@@ -213,7 +193,7 @@ func runE23(cfg Config) *Table {
 		cluster.Reissue{TimeoutFactor: 3, MaxClones: 1},
 	} {
 		// Worker 0 suffers a severe slow-down failure partway into the job.
-		r := clusterRunT(cfg, tel, sched.Name(), sched, cluster.UniformTasks(nTasks, units),
+		r := clusterRunT(tel, sched.Name(), sched, cluster.UniformTasks(nTasks, units),
 			func(p *cluster.Pool) {
 				p.SetSpeedAt(0, degradeAt, 0.02)
 			})
@@ -239,18 +219,17 @@ func runE29(cfg Config) *Table {
 	tel := cfg.telemetry()
 	t.Telemetry = tel
 	runBSP := func(name string, params cluster.BSPParams, slowSpeed float64) sim.Duration {
-		ss := shardedCluster(cfg, tel)
-		p := cluster.NewShardedPool(ss, 4, clusterQuantum)
+		s := sim.New()
+		p := cluster.NewPool(s, 4, clusterQuantum)
 		if tel != nil {
 			p.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
+			tel.attachProfile(s, tel.nextRun(name))
 		}
 		if slowSpeed > 0 {
 			p.Workers()[0].SetSpeed(slowSpeed)
 		}
 		r := cluster.RunBSP(p, params)
-		tel.endSharded(ss)
-		cfg.observeBarrier(name, ss)
+		tel.endRun(s)
 		return r.Makespan
 	}
 	for _, elastic := range []bool{false, true} {
@@ -289,15 +268,15 @@ func runE24(cfg Config) *Table {
 	tel := cfg.telemetry()
 	t.Telemetry = tel
 	for _, sched := range cluster.Schedulers() {
-		healthy := clusterRunT(cfg, tel, sched.Name()+"-healthy", sched,
+		healthy := clusterRunT(tel, sched.Name()+"-healthy", sched,
 			cluster.UniformTasks(nTasks, units), nil).Makespan
 
-		static := clusterRunT(cfg, tel, sched.Name()+"-static", sched,
+		static := clusterRunT(tel, sched.Name()+"-static", sched,
 			cluster.UniformTasks(nTasks, units), func(p *cluster.Pool) {
 				p.Workers()[0].SetSpeed(0.25)
 			}).Makespan
 
-		mid := clusterRunT(cfg, tel, sched.Name()+"-mid", sched,
+		mid := clusterRunT(tel, sched.Name()+"-mid", sched,
 			cluster.UniformTasks(nTasks, units), func(p *cluster.Pool) {
 				p.SetSpeedAt(0, degradeAt, 0.1)
 			}).Makespan

@@ -8,25 +8,13 @@ import (
 	"failstutter/internal/workload"
 )
 
-// switchWire is the one-way wire latency of the experiment fabrics, and
-// with it the sharded coordinator's lookahead: the minimum cross-port
-// delay. At 0.1 ms it is ~1% of the smallest message drain time, so the
-// handshake cost stays a rounding term in every measured ratio.
+// switchWire is the one-way wire latency of the experiment fabrics. At
+// 0.1 ms it is ~1% of the smallest message drain time, so the handshake
+// cost stays a rounding term in every measured ratio.
 const switchWire = 1e-4
 
-// shardedNet builds the coordinator the switch experiments run on —
-// always the sharded kernel, at whatever -shards says (1 included), with
-// lookahead derived from the fabric's wire latency. Traced runs install
-// per-shard telemetry collectors, merged deterministically at the end of
-// each sub-run.
-func shardedNet(cfg Config, tel *Telemetry) *sim.ShardedSimulator {
-	ss := cfg.newSharded(cfg.ShardCount(), switchWire)
-	tel.attachSharded(ss)
-	return ss
-}
-
-func transposeSwitch(ss *sim.ShardedSimulator, ports int) *device.Switch {
-	return device.NewShardedSwitch(ss, device.SwitchParams{
+func transposeSwitch(s *sim.Simulator, ports int) *device.Switch {
+	return device.NewSwitch(s, device.SwitchParams{
 		Ports:       ports,
 		LinkRate:    1e6,
 		DrainRate:   1e6,
@@ -77,18 +65,17 @@ func runE10(cfg Config) *Table {
 		{0, 1}, {1, 0.5}, {1, 0.33}, {1, 0.1}, {2, 0.33}, {4, 0.33},
 	} {
 		name := fmt.Sprintf("slow%d-%.2f", tc.slow, tc.speed)
-		ss := shardedNet(cfg, tel)
-		sw := transposeSwitch(ss, ports)
+		s := sim.New()
+		sw := transposeSwitch(s, ports)
 		if tel != nil {
 			sw.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
+			tel.attachProfile(s, tel.nextRun(name))
 		}
 		for i := 0; i < tc.slow; i++ {
 			sw.ReceiverComposite(i).Set("slow", tc.speed)
 		}
-		bw := workload.TransposeShardedBandwidth(ss, sw, msg)
-		tel.endSharded(ss)
-		cfg.observeBarrier(fmt.Sprintf("transpose-slow%d-%.2f", tc.slow, tc.speed), ss)
+		bw := workload.TransposeBandwidth(s, sw, msg)
+		tel.endRun(s)
 		if tc.slow == 0 {
 			base = bw
 		}
@@ -124,14 +111,14 @@ func runE11(cfg Config) *Table {
 		if unfair {
 			name = "measure-unfair"
 		}
-		ss := shardedNet(cfg, tel)
-		sw := device.NewShardedSwitch(ss, device.SwitchParams{
+		s := sim.New()
+		sw := device.NewSwitch(s, device.SwitchParams{
 			Ports: ports, LinkRate: 1e6, DrainRate: 0.4e6, BufferBytes: 32 * 1024,
 			WireLatency: switchWire,
 		})
 		if tel != nil {
 			sw.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
+			tel.attachProfile(s, tel.nextRun(name))
 		}
 		if unfair {
 			sw.Sender(0).SetWeight(8)
@@ -144,9 +131,8 @@ func runE11(cfg Config) *Table {
 			}
 			sw.Sender(i).Enqueue(batch, nil)
 		}
-		ss.RunUntil(10)
-		tel.endSharded(ss)
-		cfg.observeBarrier(name, ss)
+		s.RunUntil(10)
+		tel.endRun(s)
 		rates := make([]float64, 4)
 		for i := range rates {
 			rates[i] = sw.Sender(i).BytesSent() / 10
@@ -233,20 +219,19 @@ func runE12(cfg Config) *Table {
 	t.Telemetry = tel
 	base := 0.0
 	for _, freezes := range []int{0, 1, 2, 3} {
-		ss := shardedNet(cfg, tel)
-		sw := transposeSwitch(ss, ports)
+		s := sim.New()
+		sw := transposeSwitch(s, ports)
 		if tel != nil {
 			sw.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(fmt.Sprintf("freeze-%d", freezes)))
+			tel.attachProfile(s, tel.nextRun(fmt.Sprintf("freeze-%d", freezes)))
 		}
 		// Space freezes so each lands while the (stretched) transfer is
 		// still in flight: completion after k freezes is base + 2k.
 		for i := 0; i < freezes; i++ {
 			sw.FreezeAt(0.3+2.1*float64(i), 2.0)
 		}
-		elapsed := workload.TransposeSharded(ss, sw, msg)
-		tel.endSharded(ss)
-		cfg.observeBarrier(fmt.Sprintf("freeze-%d", freezes), ss)
+		elapsed := workload.Transpose(s, sw, msg)
+		tel.endRun(s)
 		if freezes == 0 {
 			base = elapsed
 		}

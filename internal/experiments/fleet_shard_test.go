@@ -38,9 +38,11 @@ func telemetryArtifacts(t *testing.T, tbl *Table) string {
 }
 
 // TestFleetShardCountInvariant asserts the sharded kernel's core
-// contract on the fleet experiment: E32's table AND its telemetry
-// artifacts are byte-identical at shard counts 1, 2, and 8, for several
-// seeds. The shard count may only trade wall-clock for cores.
+// contract on the fleet experiment, the one plane on that kernel: E32's
+// table AND its telemetry artifacts — with every telemetry flag on,
+// including the profiling plane — are byte-identical at shard counts 1,
+// 2, and 8, for several seeds. The shard count may only trade wall-clock
+// for cores.
 func TestFleetShardCountInvariant(t *testing.T) {
 	e, err := Get("E32")
 	if err != nil {
@@ -48,7 +50,8 @@ func TestFleetShardCountInvariant(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 42, 1337} {
 		run := func(shards int) (string, string, string) {
-			cfg := Config{Seed: seed, Quick: true, Trace: true, Audit: true, Metrics: true, Shards: shards}
+			cfg := Config{Seed: seed, Quick: true, Trace: true, Audit: true, Metrics: true,
+				Profile: true, Shards: shards}
 			tbl := e.Run(cfg)
 			art := telemetryArtifacts(t, tbl)
 			if art == "" {
@@ -78,11 +81,11 @@ func TestFleetShardCountInvariant(t *testing.T) {
 }
 
 // TestTracedPlanesShardCountInvariant extends the byte-identity contract
-// to fully traced runs of the other sharded planes: one switch-fabric
-// experiment (E10) and one cluster experiment (E23), with every
-// telemetry flag on — including the profiling plane, so per-shard
-// station samplers are in the loop — must emit byte-identical tables
-// and artifacts at shard counts 1, 2, and 8 across several seeds.
+// to fully traced runs of planes off the sharded kernel: one
+// switch-fabric experiment (E10) and one cluster experiment (E23), with
+// every telemetry flag on — including the profiling plane — must ignore
+// the shard count and emit byte-identical tables and artifacts at shard
+// counts 1, 2, and 8 across several seeds.
 func TestTracedPlanesShardCountInvariant(t *testing.T) {
 	for _, id := range []string{"E10", "E23"} {
 		e, err := Get(id)
@@ -141,11 +144,10 @@ func TestFleetScenarioShardCountInvariant(t *testing.T) {
 
 // TestRunAllShardCountInvariant extends the determinism suite across the
 // shard axis: the full registry's tables and metrics artifacts must be
-// byte-identical for -shards=1 and -shards=8 at the reference seed.
-// Experiments off the sharded kernel must ignore the setting entirely;
-// the sharded planes — the fleet (E32), the switch fabric (E10–E12),
-// and the cluster (E14/E15/E23/E24/E29) — must honor it without
-// observable effect.
+// byte-identical for -shards=1 and -shards=8 at the reference seed. Only
+// the fleet (E32) runs on the sharded kernel and honors the setting,
+// without observable effect; every other experiment runs on one plain
+// kernel and must ignore it entirely.
 func TestRunAllShardCountInvariant(t *testing.T) {
 	run := func(shards int) []*Table {
 		return RunAll(Config{Seed: 42, Quick: true, Metrics: true, Shards: shards}, 4)

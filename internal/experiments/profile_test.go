@@ -84,12 +84,12 @@ var profiled = Config{Seed: 42, Quick: true, Profile: true}
 // Profile implies Trace+Metrics, the station sampler populates
 // queue-depth series, and the derived artifacts are byte-deterministic.
 func TestProfilePlane(t *testing.T) {
-	render := func(id string) [4]string {
+	render := func(id string, cfg Config) [4]string {
 		e, err := Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl := e.Run(profiled)
+		tbl := e.Run(cfg)
 		tel := tbl.Telemetry
 		if tel == nil || !tel.Profile || tel.Tracer == nil || tel.Metrics == nil {
 			t.Fatalf("%s: Profile config did not attach tracer+metrics telemetry", id)
@@ -113,7 +113,7 @@ func TestProfilePlane(t *testing.T) {
 	}
 
 	for _, id := range []string{"E01", "E05", "E23"} {
-		a, b := render(id), render(id)
+		a, b := render(id, profiled), render(id, profiled)
 		if a != b {
 			t.Fatalf("%s: profile artifacts not byte-identical across runs", id)
 		}
@@ -122,38 +122,14 @@ func TestProfilePlane(t *testing.T) {
 		}
 	}
 
-	// The sampler must have recorded occupancy for at least one station,
-	// and the profile analyses must see the same merged data at any shard
-	// count: the derived artifacts carry no meta stamp here, so they must
-	// be byte-identical between one shard and eight.
-	for _, id := range []string{"E23", "E32"} {
-		renderAt := func(shards int) [4]string {
-			e, err := Get(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl := e.Run(Config{Seed: 42, Quick: true, Profile: true, Shards: shards})
-			tel := tbl.Telemetry
-			rep := profile.Analyze(tel.Tracer, tel.Metrics)
-			slo := profile.AnalyzeSLO(tel.Tracer, profile.SLOConfig{})
-			var j, f, x, s strings.Builder
-			if err := rep.WriteJSON(&j); err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.WriteFolded(&f); err != nil {
-				t.Fatal(err)
-			}
-			if err := rep.WriteText(&x, 10); err != nil {
-				t.Fatal(err)
-			}
-			if err := slo.WriteJSON(&s); err != nil {
-				t.Fatal(err)
-			}
-			return [4]string{j.String(), f.String(), x.String(), s.String()}
-		}
-		if one, eight := renderAt(1), renderAt(8); one != eight {
-			t.Fatalf("%s: profile analyses differ between -shards=1 and -shards=8", id)
-		}
+	// The profile analyses of the fleet, the one sharded experiment, must
+	// see the same merged data at any shard count: the derived artifacts
+	// carry no meta stamp here, so they must be byte-identical between one
+	// shard and eight.
+	one, eight := profiled, profiled
+	one.Shards, eight.Shards = 1, 8
+	if render("E32", one) != render("E32", eight) {
+		t.Fatal("E32: profile analyses differ between -shards=1 and -shards=8")
 	}
 
 	// The sampler must have recorded occupancy for at least one station,

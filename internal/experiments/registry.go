@@ -30,10 +30,10 @@ type Config struct {
 	// profiles. Critical-path, folded-stack, and SLO artifacts derive
 	// from the resulting telemetry.
 	Profile bool
-	// Shards is the shard count for experiments that run on the sharded
-	// parallel kernel — the fleet (E32), the switch fabric (E10–E12), and
-	// the cluster plane (E14/E15/E23/E24/E29); 0 means one shard per
-	// core. Tables and telemetry are byte-identical at any value — the
+	// Shards is the shard count for the fleet (E32), the one experiment
+	// that runs on the sharded parallel kernel; 0 means one shard per
+	// core. Every other experiment runs on one plain kernel and ignores
+	// it. Tables and telemetry are byte-identical at any value — the
 	// setting only trades wall-clock for cores.
 	Shards int
 	// SweepWorkers sizes the barrier worker pool experiments fan
@@ -42,11 +42,12 @@ type Config struct {
 	// at any value.
 	SweepWorkers int
 	// ObserveBarrier, when non-nil, receives every sharded kernel's
-	// post-run barrier cost profile, tagged with a run label. Setting it
-	// enables the kernel's profile counters at construction. `fstutter
-	// profile` uses the hook to build the barrier report; everything in
-	// the stats is deterministic except the two wall-clock nanosecond
-	// fields.
+	// post-run barrier cost profile, tagged with a run label — in practice
+	// the fleet's (E32), the only experiment on the sharded kernel; every
+	// other experiment ignores it. Setting it enables the kernel's profile
+	// counters at construction. `fstutter profile` uses the hook to build
+	// the barrier report; everything in the stats is deterministic except
+	// the two wall-clock nanosecond fields.
 	ObserveBarrier func(run string, st sim.BarrierStats, perShard []uint64)
 }
 
@@ -57,25 +58,6 @@ func (cfg Config) ShardCount() int {
 		return cfg.Shards
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// newSharded builds a sharded kernel for an experiment, enabling the
-// barrier cost counters when a profile hook is installed (they must be
-// on before the run; collection costs two clock reads per window).
-func (cfg Config) newSharded(shards int, lookahead sim.Duration) *sim.ShardedSimulator {
-	ss := sim.NewSharded(shards, lookahead)
-	if cfg.ObserveBarrier != nil {
-		ss.Profile()
-	}
-	return ss
-}
-
-// observeBarrier reports one sharded kernel's post-run barrier profile
-// to the configured hook, if any.
-func (cfg Config) observeBarrier(run string, ss *sim.ShardedSimulator) {
-	if cfg.ObserveBarrier != nil {
-		cfg.ObserveBarrier(run, *ss.Profile(), ss.PerShardFired())
-	}
 }
 
 // Observability reports whether any telemetry flag is set.

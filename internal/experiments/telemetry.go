@@ -83,19 +83,6 @@ func (tel *Telemetry) attachSharded(ss *sim.ShardedSimulator) {
 	})
 }
 
-// attachProfileSharded is attachProfile for a sharded sub-run: each
-// shard's kernel samples station occupancy into that shard's metrics
-// collector, so the probe's appends stay shard-local during the parallel
-// window. Requires attachSharded first.
-func (tel *Telemetry) attachProfileSharded(ss *sim.ShardedSimulator, run string) {
-	if tel == nil || !tel.Profile {
-		return
-	}
-	for i := 0; i < ss.Shards(); i++ {
-		ss.Shard(i).SetStationProbe(profile.StationSampler(ss.ShardMetrics(i), run))
-	}
-}
-
 // nextRun labels one sub-run (one simulator instance) within the
 // experiment, e.g. "3-adaptive-pull". Metric labels and span layout use
 // it to keep sub-runs distinguishable.

@@ -3,6 +3,7 @@ package oracle
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -156,6 +157,42 @@ func TestE32SeedGatedRows(t *testing.T) {
 	}
 	if !hasQuantity(at1, "injected_stutter_2048") {
 		t.Error("seed 1: binomial injection rows missing")
+	}
+}
+
+// The cluster plane runs on one plain kernel, so the makespans the
+// list-scheduling and BSP superstep models derive in closed form are
+// exact schedules, not brackets: every such row must match to float
+// rounding, far inside its tolerance band.
+func TestClusterExactScheduleRows(t *testing.T) {
+	exact := map[string][]string{
+		"E15": {
+			"healthy_ms_static-partition", "healthy_ms_gauged-partition",
+			"healthy_ms_work-queue", "healthy_ms_detect-avoid",
+			"hog_ms_static-partition", "hog_ms_gauged-partition",
+		},
+		"E29": {"healthy_ms_static", "slow_ms_static", "healthy_ms_elastic"},
+	}
+	for _, seed := range []uint64{1, 42, 1337} {
+		for _, id := range []string{"E15", "E29"} {
+			rep := analyzeQuick(t, id, seed, 0)
+			for _, q := range exact[id] {
+				seen := false
+				for _, row := range rep.Rows {
+					if row.Quantity != q {
+						continue
+					}
+					seen = true
+					if res := row.Residual(); math.Abs(res) > 1e-12 {
+						t.Errorf("seed %d %s: %s predicted %g observed %g, residual %+g exceeds 1e-12",
+							seed, id, q, row.Predicted, row.Observed, res)
+					}
+				}
+				if !seen {
+					t.Errorf("seed %d %s: no conformance row for %s", seed, id, q)
+				}
+			}
+		}
 	}
 }
 

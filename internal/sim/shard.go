@@ -150,12 +150,6 @@ func NewSharded(shards int, lookahead Duration) *ShardedSimulator {
 	return ss
 }
 
-// Shards returns the shard count.
-func (ss *ShardedSimulator) Shards() int { return len(ss.shards) }
-
-// Lookahead returns the conservative lookahead bound.
-func (ss *ShardedSimulator) Lookahead() Duration { return ss.lookahead }
-
 // Shard returns shard i's kernel. Components pinned to shard i are built
 // on it exactly as they would be on a lone Simulator; during a window,
 // shard i's events must touch only state owned by shard i.
@@ -561,55 +555,4 @@ func (ss *ShardedSimulator) PerShardFired() []uint64 {
 		out[i] = s.fired
 	}
 	return out
-}
-
-// Mailbox orders same-time cross-shard deliveries on one component by a
-// placement-invariant key. Same-time events delivered from different
-// source shards arrive in (source shard, source seq) order — which depends
-// on the partition — so a component that cannot make them commute posts
-// each delivery into its mailbox instead of acting on it directly. The
-// mailbox schedules one drain event at the same instant; because every
-// same-time delivery is batch-inserted at a barrier before the window that
-// executes them, the drain's sequence number exceeds them all, and the
-// drain replays the posts sorted by caller-supplied key. Keys must be
-// unique per instant (the idiom is senderID<<32 | senderSeq).
-type Mailbox struct {
-	s         *Simulator
-	pending   []mailboxItem
-	scheduled bool
-}
-
-type mailboxItem struct {
-	key uint64
-	fn  func()
-}
-
-// NewMailbox builds a mailbox draining on the given shard kernel.
-func NewMailbox(s *Simulator) *Mailbox { return &Mailbox{s: s} }
-
-// Post enqueues fn under key at the current instant; the drain at the end
-// of this instant runs all posts in ascending key order.
-func (m *Mailbox) Post(key uint64, fn func()) {
-	m.pending = append(m.pending, mailboxItem{key: key, fn: fn})
-	if !m.scheduled {
-		m.scheduled = true
-		m.s.At(m.s.now, m.drain)
-	}
-}
-
-// drain replays the pending posts in key order and resets the mailbox.
-func (m *Mailbox) drain() {
-	m.scheduled = false
-	items := m.pending
-	sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-	// Detach before running: a post during replay starts a fresh batch
-	// with its own drain, in a fresh buffer.
-	m.pending = nil
-	for i := range items {
-		items[i].fn()
-		items[i].fn = nil
-	}
-	if m.pending == nil {
-		m.pending = items[:0]
-	}
 }

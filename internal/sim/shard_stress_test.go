@@ -24,12 +24,13 @@ type shardStressResult struct {
 func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 	t.Helper()
 	const (
-		keys     = 64
-		initial  = 8
-		capLocal = 1300
-		capCross = 200
+		keys      = 64
+		initial   = 8
+		capLocal  = 1300
+		capCross  = 200
+		lookahead = 1.0
 	)
-	ss := NewSharded(shards, 1.0)
+	ss := NewSharded(shards, lookahead)
 	root := NewRNG(777)
 
 	observed := make([][]float64, keys)     // appended only by key's own shard
@@ -79,7 +80,7 @@ func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 			// Cross-shard send to another key, one lookahead or more ahead.
 			if rng.Float64() < 0.2 && crossCount[k] < capCross {
 				dst := (k + 1 + rng.Intn(keys-1)) % keys
-				at := now + ss.Lookahead() + rng.Float64()
+				at := now + lookahead + rng.Float64()
 				crossSent[k] = append(crossSent[k], [2]float64{float64(dst), at})
 				crossCount[k]++
 				ss.Send(shardOf[k], shardOf[dst], at, fmt.Sprintf("key%02d", k), func() {

@@ -9,9 +9,6 @@ import (
 
 func TestShardedBasics(t *testing.T) {
 	ss := NewSharded(4, 0.5)
-	if ss.Shards() != 4 || ss.Lookahead() != 0.5 {
-		t.Fatalf("shards/lookahead: %d/%v", ss.Shards(), ss.Lookahead())
-	}
 	var order []string
 	for i := 0; i < 4; i++ {
 		i := i

@@ -408,36 +408,6 @@ func (st *Station) reschedule() {
 	st.timerAt = at
 }
 
-// CancelCurrent aborts the request in service at the current instant: the
-// work already drained stays charged to BusyTime, the completion timer is
-// stopped, the request counts as abandoned and its OnDone never runs, and
-// the next queued request (if any) starts immediately. It returns the work
-// the canceled request had drained and whether a request was in service —
-// the hook the cluster plane's deterministic job-completion cut uses to
-// settle in-flight work.
-func (st *Station) CancelCurrent() (served float64, ok bool) {
-	if st.cur == nil {
-		return 0, false
-	}
-	st.progress()
-	r := st.cur
-	served = r.Size - r.remaining
-	st.cur = nil
-	st.stopTimer()
-	st.abandoned++
-	if st.tracer != nil {
-		st.tracer.End(r.span, st.sim.Now())
-		r.span = 0
-	}
-	if st.queue.len() > 0 {
-		next := st.queue.pop()
-		st.queuedWork -= next.Size
-		st.start(next)
-	}
-	st.notifyProbe()
-	return served, true
-}
-
 // finish completes the request in service and starts the next one.
 func (st *Station) finish() {
 	st.progress()

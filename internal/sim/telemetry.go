@@ -34,11 +34,13 @@ type shardTelemetry struct {
 }
 
 // SetTelemetry installs per-shard telemetry collectors feeding the given
-// destination sinks. Components placed on shard i record into that
-// shard's collectors (ShardTracer/ShardMetrics/ShardAudit); at the end
-// of the run MergeTelemetry folds everything into the sinks in canonical
-// placement-invariant order, so the exported artifacts are byte-identical
-// at any shard count.
+// destination sinks. Components placed on shard i record spans into that
+// shard's tracer (ShardTracer); at the end of the run MergeTelemetry
+// folds everything into the sinks in canonical placement-invariant order,
+// so the exported artifacts are byte-identical at any shard count. The
+// metrics and audit sinks get per-shard collectors too and are folded the
+// same way, though no component records into them during a window today:
+// the fleet writes its metrics to the sink after the run.
 //
 // Call it before wiring components (they capture their shard's collector
 // when attached) and outside the parallel window.
@@ -73,15 +75,6 @@ func (ss *ShardedSimulator) SetTelemetry(sinks TelemetrySinks) {
 	ss.tel = tel
 }
 
-// Telemetry returns the sinks installed by SetTelemetry (zero value when
-// telemetry is off).
-func (ss *ShardedSimulator) Telemetry() TelemetrySinks {
-	if ss.tel == nil {
-		return TelemetrySinks{}
-	}
-	return ss.tel.sinks
-}
-
 // ShardTracer returns shard i's trace collector, or nil when tracing is
 // off — components pass it straight to their SetTracer hooks, whose nil
 // path is the 0-alloc disabled path.
@@ -90,25 +83,6 @@ func (ss *ShardedSimulator) ShardTracer(i int) *trace.Tracer {
 		return nil
 	}
 	return ss.tel.tracers[i]
-}
-
-// ShardMetrics returns shard i's metrics collector, or nil when the
-// metrics plane is off (a nil *Registry hands out unregistered
-// instruments, so probe call sites need no branching).
-func (ss *ShardedSimulator) ShardMetrics(i int) *trace.Registry {
-	if ss.tel == nil || ss.tel.metrics == nil {
-		return nil
-	}
-	return ss.tel.metrics[i]
-}
-
-// ShardAudit returns shard i's audit collector, or nil when auditing is
-// off.
-func (ss *ShardedSimulator) ShardAudit(i int) *trace.AuditLog {
-	if ss.tel == nil || ss.tel.audits == nil {
-		return nil
-	}
-	return ss.tel.audits[i]
 }
 
 // MergeTelemetry flushes every per-shard tracer and folds all per-shard

@@ -49,52 +49,6 @@ func Transpose(s *sim.Simulator, sw *device.Switch, msgBytes float64) sim.Durati
 	return finish - start
 }
 
-// TransposeSharded drives the same all-to-all personalized exchange on a
-// sharded switch: enqueues are identical, but completion is detected at
-// the coordinator's barrier — the single-threaded point with a consistent
-// view of every receiver — by watching total delivered bytes, and the
-// finish instant is the latest drain completion across ports, which is an
-// event time and therefore identical at every shard count. The caller
-// owns fault injection and must not have other traffic or a competing
-// barrier hook running.
-func TransposeSharded(ss *sim.ShardedSimulator, sw *device.Switch, msgBytes float64) sim.Duration {
-	n := sw.Params().Ports
-	start := ss.Now()
-	total := float64(n*(n-1)) * msgBytes
-	for i := 0; i < n; i++ {
-		var msgs []device.Message
-		for k := 1; k < n; k++ {
-			msgs = append(msgs, device.Message{Dst: (i + k) % n, Size: msgBytes})
-		}
-		sw.Sender(i).Enqueue(msgs, nil)
-	}
-	done := false
-	var finish sim.Time
-	ss.SetBarrier(func(h sim.Time) {
-		if !done && sw.TotalDelivered() >= total {
-			done = true
-			finish = sw.LastDeliveredAt()
-		}
-	})
-	ss.Run()
-	ss.SetBarrier(nil)
-	if !done {
-		panic(fmt.Sprintf("workload: sharded transpose delivered %v of %v bytes", sw.TotalDelivered(), total))
-	}
-	return finish - start
-}
-
-// TransposeShardedBandwidth runs TransposeSharded and returns aggregate
-// delivered bandwidth in bytes/second.
-func TransposeShardedBandwidth(ss *sim.ShardedSimulator, sw *device.Switch, msgBytes float64) float64 {
-	n := sw.Params().Ports
-	elapsed := TransposeSharded(ss, sw, msgBytes)
-	if elapsed <= 0 {
-		return math.Inf(1)
-	}
-	return float64(n*(n-1)) * msgBytes / elapsed
-}
-
 // TransposeBandwidth runs Transpose and returns aggregate delivered
 // bandwidth in bytes/second.
 func TransposeBandwidth(s *sim.Simulator, sw *device.Switch, msgBytes float64) float64 {
