@@ -141,10 +141,12 @@ func cmdPerfDiff(oldPath, newPath string, threshold float64, gate bool) {
 }
 
 // benchTargets are the representative workloads `fstutter bench` times:
-// a RAID scenario, the disk plane, the DHT, the scheduler engine, and
-// the sharded fleet — one per major subsystem, all in quick mode so a
-// full sample set runs in seconds.
-var benchTargets = []string{"E01", "E05", "E14", "E23", "E32"}
+// a RAID scenario, the disk plane, the large-request disk census, the
+// DHT, the scheduler engine, and the sharded fleet — one per major
+// subsystem, all in quick mode so a full sample set runs in seconds.
+// E06 issues 16384-block requests, so a disk service model that costs
+// per block rather than per zone shows up here first.
+var benchTargets = []string{"E01", "E05", "E06", "E14", "E23", "E32"}
 
 // benchSuites are the plane-level workloads timed end to end: every
 // experiment of the switch fabric and of the cluster plane, run back to

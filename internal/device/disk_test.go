@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -247,4 +248,162 @@ func TestHawkDeliversSpecBandwidth(t *testing.T) {
 	if bw < 5.3e6 || bw > 5.6e6 {
 		t.Fatalf("Hawk outer-zone bandwidth = %v, want ~5.5e6", bw)
 	}
+}
+
+// serviceTimeRef is the per-block reference the closed-form service model
+// is checked against: it walks every block of the span, charging each at
+// its own zone's aged bandwidth plus the penalty if it is remapped. It
+// returns the service seconds and the number of remap penalties charged,
+// and updates the disk's sequential-access state exactly as serviceTime
+// does.
+func serviceTimeRef(d *Disk, block int64, blocks int64) (float64, int64) {
+	t := 0.0
+	if !d.haveLast || block != d.lastBlock+1 {
+		t += d.params.SeekTime
+	}
+	remaps := int64(0)
+	for i := int64(0); i < blocks; i++ {
+		b := block + i
+		bw := d.ZoneBandwidth(b) * d.params.AgingFactor
+		t += d.params.BlockBytes / bw
+		if d.isRemapped(b) {
+			t += d.params.RemapPenalty
+			remaps++
+		}
+	}
+	d.lastBlock = block + blocks - 1
+	d.haveLast = true
+	return t, remaps
+}
+
+// checkServiceTime runs one access through the closed form and through
+// the per-block reference on twin disks that share a predecessor access,
+// and fails unless service seconds agree to 1e-12 relative, the remap
+// counts agree exactly, and both leave the same sequential-access state.
+func checkServiceTime(t *testing.T, p DiskParams, start, count int64, sequential bool) {
+	t.Helper()
+	fast, err := NewDisk(sim.New(), p)
+	if err != nil {
+		t.Fatalf("params %+v: %v", p, err)
+	}
+	ref := MustDisk(sim.New(), p)
+	if sequential && start > 0 {
+		fast.lastBlock, fast.haveLast = start-1, true
+		ref.lastBlock, ref.haveLast = start-1, true
+	} else if start > 1 {
+		fast.lastBlock, fast.haveLast = start-2, true
+		ref.lastBlock, ref.haveLast = start-2, true
+	}
+	want, wantRemaps := serviceTimeRef(ref, start, count)
+	got := fast.serviceTime(start, count)
+	if rel := math.Abs(got-want) / want; !(rel <= 1e-12) {
+		t.Fatalf("zones %v starts %v aging %v: access [%d, +%d) seq=%v: closed form %v, per-block %v (rel %g)",
+			p.Zones, fast.zoneStartBlock, p.AgingFactor, start, count, sequential, got, want, rel)
+	}
+	if gotRemaps := fast.remappedIn(start, count); gotRemaps != wantRemaps {
+		t.Fatalf("access [%d, +%d): %d remapped blocks charged, reference charged %d",
+			start, count, gotRemaps, wantRemaps)
+	}
+	if fast.lastBlock != ref.lastBlock || fast.haveLast != ref.haveLast {
+		t.Fatalf("access [%d, +%d): sequential state (%d, %v), reference (%d, %v)",
+			start, count, fast.lastBlock, fast.haveLast, ref.lastBlock, ref.haveLast)
+	}
+}
+
+// randomZoneParams draws a valid disk with 1–6 zones over capacity
+// blocks. Some zones get so small a fraction that int64 truncation leaves
+// them no blocks, so two zones share a start block.
+func randomZoneParams(rng *rand.Rand, capacity int64) DiskParams {
+	nz := 1 + rng.Intn(6)
+	w := make([]float64, nz)
+	sum := 0.0
+	for i := range w {
+		w[i] = 0.05 + rng.Float64()
+		if nz > 1 && rng.Intn(3) == 0 {
+			w[i] = 1e-9 // truncates to zero blocks
+		}
+		sum += w[i]
+	}
+	zones := make([]Zone, nz)
+	for i := range zones {
+		zones[i] = Zone{CapacityFrac: w[i] / sum, Bandwidth: 1e5 + rng.Float64()*1e7}
+	}
+	aging := 1.0
+	if rng.Intn(4) != 0 {
+		aging = 1 - rng.Float64() // (0, 1]
+	}
+	p := DiskParams{
+		Name:           "prop",
+		CapacityBlocks: capacity,
+		BlockBytes:     []float64{1, 512, 4096}[rng.Intn(3)],
+		Zones:          zones,
+		SeekTime:       rng.Float64() * 0.02,
+		RemapPenalty:   0.022,
+		RemapSeed:      rng.Uint64(),
+		AgingFactor:    aging,
+	}
+	if rng.Intn(2) == 0 {
+		p.RemappedBlocks = 1 + rng.Int63n(capacity)
+	}
+	return p
+}
+
+// The closed-form service time must match the per-block reference on
+// spans that start and end on, just before and just after every zone
+// boundary, for random zone maps, aging factors and remap densities.
+func TestDiskServiceTimeMatchesPerBlockReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20011))
+	for trial := 0; trial < 300; trial++ {
+		capacity := 1 + rng.Int63n(4096)
+		p := randomZoneParams(rng, capacity)
+		d := MustDisk(sim.New(), p)
+		var points []int64
+		for _, e := range append(append([]int64{}, d.zoneStartBlock...), capacity) {
+			for _, q := range []int64{e - 1, e, e + 1} {
+				if q >= 0 && q <= capacity {
+					points = append(points, q)
+				}
+			}
+		}
+		for i := 0; i < 4; i++ {
+			points = append(points, rng.Int63n(capacity+1))
+		}
+		for _, start := range points {
+			for _, end := range points {
+				if end <= start {
+					continue
+				}
+				checkServiceTime(t, p, start, end-start, true)
+				checkServiceTime(t, p, start, end-start, false)
+			}
+		}
+	}
+}
+
+// FuzzDiskServiceTime checks the closed-form service time against the
+// per-block reference on fuzzer-chosen zone maps and spans.
+func FuzzDiskServiceTime(f *testing.F) {
+	f.Add(uint64(1), uint8(2), uint32(1000), 1.0, uint32(0), uint32(499), uint32(3), true)
+	f.Add(uint64(7), uint8(5), uint32(4096), 0.5, uint32(40), uint32(0), uint32(4095), false)
+	f.Fuzz(func(t *testing.T, seed uint64, zones uint8, capacity uint32, aging float64,
+		remapped uint32, start uint32, count uint32, sequential bool) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		capBlocks := 1 + int64(capacity%(1<<16))
+		p := randomZoneParams(rng, capBlocks)
+		p.Zones = p.Zones[:1+int(zones)%len(p.Zones)]
+		sum := 0.0
+		for _, z := range p.Zones {
+			sum += z.CapacityFrac
+		}
+		for i := range p.Zones {
+			p.Zones[i].CapacityFrac /= sum
+		}
+		if aging > 0 && aging <= 1 {
+			p.AgingFactor = aging
+		}
+		p.RemappedBlocks = int64(remapped) % (capBlocks + 1)
+		b := int64(start) % capBlocks
+		n := 1 + int64(count)%(capBlocks-b)
+		checkServiceTime(t, p, b, n, sequential)
+	})
 }

@@ -196,6 +196,39 @@ func TestClusterExactScheduleRows(t *testing.T) {
 	}
 }
 
+// The disk service model charges each zone segment count × block time,
+// the same arithmetic as the zone model's closed form, so the
+// deterministic disk-model rows (no remap draw) are exact to float
+// rounding, far inside their 1e-9 tolerance bands.
+func TestDiskExactModelRows(t *testing.T) {
+	exact := map[string][]string{
+		"E05": {"healthy_bw", "bw_0"},
+		"E08": {"bw_outer", "bw_middle", "bw_inner", "zone_ratio"},
+		"E13": {"bw_0", "bw_1", "bw_2", "bw_3", "age_ratio", "fresh_identical"},
+	}
+	for _, seed := range []uint64{1, 42, 1337} {
+		for _, id := range []string{"E05", "E08", "E13"} {
+			rep := analyzeQuick(t, id, seed, 0)
+			for _, q := range exact[id] {
+				seen := false
+				for _, row := range rep.Rows {
+					if row.Quantity != q {
+						continue
+					}
+					seen = true
+					if res := row.Residual(); math.Abs(res) > 1e-15 {
+						t.Errorf("seed %d %s: %s predicted %g observed %g, residual %+g exceeds 1e-15",
+							seed, id, q, row.Predicted, row.Observed, res)
+					}
+				}
+				if !seen {
+					t.Errorf("seed %d %s: no conformance row for %s", seed, id, q)
+				}
+			}
+		}
+	}
+}
+
 func TestAnalyzeRejectsUncovered(t *testing.T) {
 	tbl := experiments.NewTable("E99", "uncovered", "n/a", "col")
 	if _, err := Analyze(Input{Table: tbl}); err == nil {

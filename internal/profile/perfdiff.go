@@ -64,7 +64,8 @@ type PerfDiffReport struct {
 	// Warnings flags artifacts whose parallelism metadata disagrees:
 	// comparing wall-clock medians taken at different shard counts or on
 	// different machines classifies the hardware delta, not the code's.
-	// Warnings never fail the gate.
+	// It also flags an artifact that ran more shards or sweep workers
+	// than its host had cores. Warnings never fail the gate.
 	Warnings []string
 }
 
@@ -101,6 +102,20 @@ func PerfDiff(oldA, newA *BenchArtifact, cfg PerfDiffConfig) *PerfDiffReport {
 	warnMeta("GOMAXPROCS", oldA.GoMaxProcs, newA.GoMaxProcs)
 	warnMeta("cpu count", oldA.NumCPU, newA.NumCPU)
 	warnMeta("sweep workers", oldA.SweepWorkers, newA.SweepWorkers)
+
+	// Parallelism above the recording host's core count measures
+	// oversubscription, not scaling. Zero numcpu is unknown and stays silent.
+	warnOversubscribed := func(side, field string, n, cpus int) {
+		if cpus > 0 && n > cpus {
+			rep.Warnings = append(rep.Warnings, fmt.Sprintf(
+				"%s artifact ran %d %s on numcpu %d: its parallel entries measure oversubscription, not scaling",
+				side, n, field, cpus))
+		}
+	}
+	warnOversubscribed("old", "shards", oldA.Shards, oldA.NumCPU)
+	warnOversubscribed("old", "sweep workers", oldA.SweepWorkers, oldA.NumCPU)
+	warnOversubscribed("new", "shards", newA.Shards, newA.NumCPU)
+	warnOversubscribed("new", "sweep workers", newA.SweepWorkers, newA.NumCPU)
 
 	newBy := make(map[string]Bench, len(newA.Benchmarks))
 	for _, b := range newA.Benchmarks {

@@ -274,3 +274,51 @@ func TestBenchArtifactParallelismRoundTrip(t *testing.T) {
 		t.Fatalf("parallelism metadata round trip not byte-identical:\n%s\nvs\n%s", s1.String(), s2.String())
 	}
 }
+
+// TestPerfDiffOversubscriptionWarning flags an artifact recorded with
+// more shards or sweep workers than its host had cores — the committed
+// baseline's shards 8 on numcpu 1 — on either side, never failing the
+// gate; an unknown numcpu stays silent.
+func TestPerfDiffOversubscriptionWarning(t *testing.T) {
+	bench := Bench{Name: "BenchmarkKernel", Unit: "ns/op", Samples: samples(1000, 5)}
+	withMeta := func(shards, workers, cpus int) *BenchArtifact {
+		a := art(bench)
+		a.Shards, a.GoMaxProcs, a.NumCPU, a.SweepWorkers = shards, cpus, cpus, workers
+		return a
+	}
+
+	rep := PerfDiff(withMeta(8, 8, 1), withMeta(1, 1, 1), PerfDiffConfig{})
+	want := []string{
+		"old artifact ran 8 shards on numcpu 1",
+		"old artifact ran 8 sweep workers on numcpu 1",
+	}
+	var text strings.Builder
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want {
+		if !strings.Contains(text.String(), "warning: "+w) {
+			t.Errorf("warning %q missing from text report:\n%s", w, text.String())
+		}
+	}
+	if rep.Failed() {
+		t.Fatal("oversubscription must warn, never fail the gate")
+	}
+
+	rep = PerfDiff(withMeta(2, 2, 2), withMeta(2, 4, 2), PerfDiffConfig{})
+	if len(rep.Warnings) != 2 || !strings.Contains(rep.Warnings[1], "new artifact ran 4 sweep workers on numcpu 2") {
+		t.Fatalf("new-side oversubscription: warnings %v", rep.Warnings)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		old, new *BenchArtifact
+	}{
+		{"within-cores", withMeta(2, 2, 2), withMeta(2, 2, 2)},
+		{"numcpu-unknown", withMeta(8, 8, 0), withMeta(8, 8, 0)},
+	} {
+		if rep := PerfDiff(tc.old, tc.new, PerfDiffConfig{}); len(rep.Warnings) != 0 {
+			t.Errorf("%s: unexpected warnings %v", tc.name, rep.Warnings)
+		}
+	}
+}

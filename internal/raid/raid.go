@@ -8,7 +8,6 @@ package raid
 
 import (
 	"fmt"
-	"sort"
 
 	"failstutter/internal/device"
 	"failstutter/internal/sim"
@@ -24,30 +23,34 @@ type MirrorPair struct {
 	A  *device.Disk
 	B  *device.Disk
 
-	s           *sim.Simulator
-	nextBlock   int64
-	done        uint64
-	lost        uint64
-	outstanding map[*writeOp]struct{}
-	opSeq       uint64
+	s         *sim.Simulator
+	nextBlock int64
+	done      uint64
+	lost      uint64
+	// head and tail bound the outstanding writes in issue order, so
+	// diskFailed resolves them (and fires their callbacks) deterministically.
+	head, tail *writeOp
 
 	tracer *trace.Tracer
 	track  trace.TrackID
 }
 
+// Member slots of a pair, as bits of a writeOp's pending mask.
+const (
+	slotA uint8 = 1 << iota
+	slotB
+)
+
 // writeOp tracks one logical mirrored write until it is durable on every
 // live member, or lost because every member it reached has died.
 type writeOp struct {
-	pending   map[*device.Disk]bool
-	completed int
-	finished  bool
-	onDone    func()
-	onFail    func()
-	// seq is the issue order within the pair; diskFailed resolves affected
-	// ops in seq order so callback ordering (and with it span creation
-	// order) never depends on map iteration order.
-	seq  uint64
-	span trace.SpanID
+	pending    uint8 // slots still owing a copy
+	completed  int
+	finished   bool
+	onDone     func()
+	onFail     func()
+	span       trace.SpanID
+	prev, next *writeOp // the pair's outstanding list
 }
 
 // NewMirrorPair builds a pair over two disks and wires failure
@@ -55,9 +58,9 @@ type writeOp struct {
 // completed if a surviving copy lands, lost otherwise — so stripers can
 // reissue.
 func NewMirrorPair(s *sim.Simulator, id int, a, b *device.Disk) *MirrorPair {
-	p := &MirrorPair{ID: id, A: a, B: b, s: s, outstanding: make(map[*writeOp]struct{})}
-	a.OnFail(func() { p.diskFailed(a) })
-	b.OnFail(func() { p.diskFailed(b) })
+	p := &MirrorPair{ID: id, A: a, B: b, s: s}
+	a.OnFail(func() { p.diskFailed(slotA) })
+	b.OnFail(func() { p.diskFailed(slotB) })
 	return p
 }
 
@@ -73,30 +76,26 @@ func (p *MirrorPair) SetTracer(t *trace.Tracer) {
 	p.B.SetTracer(t)
 }
 
-// diskFailed drops the dead disk from every outstanding write. Affected
-// ops are resolved in issue order, not map order: resolve fires onFail
-// callbacks that reissue work, so the order must be deterministic.
-func (p *MirrorPair) diskFailed(d *device.Disk) {
-	var affected []*writeOp
-	for op := range p.outstanding {
-		if op.pending[d] {
-			affected = append(affected, op)
+// diskFailed drops the dead slot from every outstanding write, resolving
+// them in issue order: resolve fires callbacks that reissue work, so the
+// order must be deterministic. Callbacks only append to the list, and an
+// unlinked op keeps its next pointer, so the walk survives resolutions.
+func (p *MirrorPair) diskFailed(slot uint8) {
+	for op := p.head; op != nil; op = op.next {
+		if op.pending&slot != 0 {
+			op.pending &^= slot
+			p.resolve(op)
 		}
-	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i].seq < affected[j].seq })
-	for _, op := range affected {
-		delete(op.pending, d)
-		p.resolve(op)
 	}
 }
 
 // resolve finishes an op whose pending set has drained.
 func (p *MirrorPair) resolve(op *writeOp) {
-	if op.finished || len(op.pending) != 0 {
+	if op.finished || op.pending != 0 {
 		return
 	}
 	op.finished = true
-	delete(p.outstanding, op)
+	p.unlink(op)
 	if p.tracer != nil {
 		p.tracer.End(op.span, p.s.Now())
 	}
@@ -111,6 +110,33 @@ func (p *MirrorPair) resolve(op *writeOp) {
 	if op.onFail != nil {
 		op.onFail()
 	}
+}
+
+// link appends op to the tail of the outstanding list.
+func (p *MirrorPair) link(op *writeOp) {
+	op.prev = p.tail
+	if p.tail != nil {
+		p.tail.next = op
+	} else {
+		p.head = op
+	}
+	p.tail = op
+}
+
+// unlink removes op from the outstanding list. op.next is left intact so
+// a diskFailed walk standing on op can step past it.
+func (p *MirrorPair) unlink(op *writeOp) {
+	if op.prev != nil {
+		op.prev.next = op.next
+	} else {
+		p.head = op.next
+	}
+	if op.next != nil {
+		op.next.prev = op.prev
+	} else {
+		p.tail = op.prev
+	}
+	op.prev = nil
 }
 
 // Failed reports whether both members are dead (the pair, and with it the
@@ -152,8 +178,14 @@ func (p *MirrorPair) WriteBlock(onDone func(), onFail func()) {
 // job). The pair records a "mirrored-write" span covering issue to
 // durability, and each member disk's write span parents to it.
 func (p *MirrorPair) WriteBlockSpan(parent trace.SpanID, onDone func(), onFail func()) {
-	targets := p.live()
-	if len(targets) == 0 {
+	var live uint8
+	if !p.A.Failed() {
+		live |= slotA
+	}
+	if !p.B.Failed() {
+		live |= slotB
+	}
+	if live == 0 {
 		p.lost++
 		if p.tracer != nil {
 			p.tracer.Instant(p.track, "write-to-dead-pair", "raid", p.s.Now())
@@ -165,25 +197,28 @@ func (p *MirrorPair) WriteBlockSpan(parent trace.SpanID, onDone func(), onFail f
 	}
 	block := p.nextBlock
 	p.nextBlock++
-	op := &writeOp{pending: make(map[*device.Disk]bool, len(targets)), onDone: onDone, onFail: onFail}
-	op.seq = p.opSeq
-	p.opSeq++
+	op := &writeOp{pending: live, onDone: onDone, onFail: onFail}
 	if p.tracer != nil {
 		op.span = p.tracer.BeginArg(p.track, "mirrored-write", "raid", parent, p.s.Now(), block)
 	}
-	for _, d := range targets {
-		op.pending[d] = true
+	p.link(op)
+	if live&slotA != 0 {
+		p.A.AccessSpan(op.span, block, 1, true, op.landed(p, slotA))
 	}
-	p.outstanding[op] = struct{}{}
-	for _, d := range targets {
-		d := d
-		d.AccessSpan(op.span, block, 1, true, func(float64) {
-			if op.pending[d] {
-				delete(op.pending, d)
-				op.completed++
-				p.resolve(op)
-			}
-		})
+	if live&slotB != 0 {
+		p.B.AccessSpan(op.span, block, 1, true, op.landed(p, slotB))
+	}
+}
+
+// landed returns the completion callback of op's copy on slot: a copy
+// landing after its disk was dropped from the op counts for nothing.
+func (op *writeOp) landed(p *MirrorPair, slot uint8) func(float64) {
+	return func(float64) {
+		if op.pending&slot != 0 {
+			op.pending &^= slot
+			op.completed++
+			p.resolve(op)
+		}
 	}
 }
 

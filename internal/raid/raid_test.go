@@ -468,3 +468,92 @@ func TestArrayValidation(t *testing.T) {
 	}()
 	NewArray(sim.New(), nil, blockBytes)
 }
+
+// fillAndKill issues n writes to p, fails first and then second before
+// any copy lands, runs the simulator, and returns the order in which the
+// writes' onFail callbacks fired.
+func fillAndKill(t *testing.T, s *sim.Simulator, p *MirrorPair, n int, first, second *device.Disk) []int {
+	t.Helper()
+	var order []int
+	for i := 0; i < n; i++ {
+		i := i
+		p.WriteBlock(func() { t.Errorf("write %d completed on a pair that died first", i) },
+			func() { order = append(order, i) })
+	}
+	now := s.Now()
+	s.At(now+0.0005, first.Fail) // the first copy needs a 1 ms seek
+	s.At(now+0.0006, second.Fail)
+	s.Run()
+	return order
+}
+
+func assertIssueOrder(t *testing.T, order []int, n int) {
+	t.Helper()
+	if len(order) != n {
+		t.Fatalf("%d writes reported lost, want %d", len(order), n)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("onFail order %v, want issue order 0..%d", order, n-1)
+		}
+	}
+}
+
+// Losing both members resolves the outstanding writes in issue order:
+// their onFail callbacks reissue work, so the order is part of the
+// simulation's determinism.
+func TestMirrorPairLosesWritesInIssueOrder(t *testing.T) {
+	s := sim.New()
+	a := testDisk(s, "a", 10*blockBytes)
+	b := testDisk(s, "b", 10*blockBytes)
+	p := NewMirrorPair(s, 0, a, b)
+	const n = 64
+	assertIssueOrder(t, fillAndKill(t, s, p, n, a, b), n)
+	if p.head != nil || p.tail != nil {
+		t.Fatal("outstanding list not empty after every write resolved")
+	}
+	if p.BlocksLost() != n {
+		t.Fatalf("BlocksLost = %d, want %d", p.BlocksLost(), n)
+	}
+}
+
+// A spare adopted into a dead member's slot takes over the slot's
+// failure accounting: when it dies after the survivor, the writes still
+// resolve in issue order.
+func TestMirrorPairAdoptedSpareLosesWritesInIssueOrder(t *testing.T) {
+	s := sim.New()
+	a := testArray(s, []float64{10 * blockBytes})
+	spare := testDisk(s, "spare", 10*blockBytes)
+	rebuilt := false
+	EnableReconstruction(a, NewSparePool(spare), 8, func(ReconEvent) { rebuilt = true })
+	if _, err := WriteAndMeasure(s, a, StaticEqual{}, 20); err != nil {
+		t.Fatal(err)
+	}
+	p := a.Pairs()[0]
+	b := p.B
+	p.A.Fail()
+	s.Run()
+	if !rebuilt || p.A != spare {
+		t.Fatalf("spare not adopted into slot A (rebuilt %v)", rebuilt)
+	}
+	const n = 64
+	assertIssueOrder(t, fillAndKill(t, s, p, n, b, spare), n)
+	if !p.Failed() || p.head != nil {
+		t.Fatalf("pair failed=%v, outstanding head %v", p.Failed(), p.head)
+	}
+}
+
+// A mirrored write on a healthy, untraced pair allocates its op, one
+// completion callback per member, and each member disk's request and
+// callback; the pending set and the issue-order list cost nothing.
+func TestWriteBlockSpanAllocs(t *testing.T) {
+	s := sim.New()
+	p := NewMirrorPair(s, 0, testDisk(s, "a", 1e6), testDisk(s, "b", 1e6))
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.WriteBlockSpan(0, nil, nil)
+		s.Run()
+	})
+	if allocs != 7 {
+		t.Fatalf("WriteBlockSpan allocates %v times per write, want 7", allocs)
+	}
+}

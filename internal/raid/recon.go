@@ -1,8 +1,6 @@
 package raid
 
 import (
-	"fmt"
-
 	"failstutter/internal/device"
 	"failstutter/internal/sim"
 )
@@ -54,10 +52,13 @@ func EnableReconstruction(a *Array, pool *SparePool, chunkBlocks int64, onComple
 	}
 	for _, p := range a.pairs {
 		p := p
-		arm := func(member *device.Disk) {
+		arm := func(slot uint8, member *device.Disk) {
 			member.OnFail(func() {
-				survivor := p.other(member)
-				if survivor == nil || survivor.Failed() {
+				survivor := p.B
+				if slot == slotB {
+					survivor = p.A
+				}
+				if survivor.Failed() {
 					return // pair is gone; nothing to rebuild from
 				}
 				spare := pool.take()
@@ -73,7 +74,7 @@ func EnableReconstruction(a *Array, pool *SparePool, chunkBlocks int64, onComple
 					}
 					if copied >= p.nextBlock {
 						// Caught up: promote the spare into the pair.
-						p.adopt(member, spare)
+						p.adopt(slot, spare)
 						if onComplete != nil {
 							onComplete(ReconEvent{PairID: p.ID, Blocks: copied, Duration: a.s.Now() - start})
 						}
@@ -91,34 +92,18 @@ func EnableReconstruction(a *Array, pool *SparePool, chunkBlocks int64, onComple
 				step()
 			})
 		}
-		arm(p.A)
-		arm(p.B)
+		arm(slotA, p.A)
+		arm(slotB, p.B)
 	}
 }
 
-// other returns the pair member that is not d, or nil if d is not a
-// member.
-func (p *MirrorPair) other(d *device.Disk) *device.Disk {
-	switch d {
-	case p.A:
-		return p.B
-	case p.B:
-		return p.A
-	default:
-		return nil
-	}
-}
-
-// adopt replaces the dead member with the rebuilt spare and wires the
+// adopt puts the rebuilt spare into the dead member's slot and wires the
 // spare's failure hook into the pair's accounting.
-func (p *MirrorPair) adopt(dead, spare *device.Disk) {
-	switch dead {
-	case p.A:
+func (p *MirrorPair) adopt(slot uint8, spare *device.Disk) {
+	if slot == slotA {
 		p.A = spare
-	case p.B:
+	} else {
 		p.B = spare
-	default:
-		panic(fmt.Sprintf("raid: adopt for non-member disk %q", dead.Name()))
 	}
-	spare.OnFail(func() { p.diskFailed(spare) })
+	spare.OnFail(func() { p.diskFailed(slot) })
 }
