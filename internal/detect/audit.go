@@ -125,7 +125,8 @@ func (a *peerAdapter) Explain() trace.Evidence {
 	obs, ref := math.NaN(), math.NaN()
 	if m != nil {
 		obs = m.med
-		ref = a.set.peerMedian(m)
+		a.set.refresh()
+		ref = a.set.ref.excluding(m.med)
 	}
 	return trace.Evidence{
 		Signal: "window-median", Observed: obs,

@@ -252,60 +252,27 @@ type PeerConfig struct {
 // bottleneck) moves the median too, so nothing is flagged; only divergent
 // components fire — the property ablation A3 measures.
 //
-// Each member's window median is cached on Observe and mirrored into one
-// ascending array of fleet medians; a verdict reads the exclude-one fleet
-// median straight off that array by index arithmetic
-// (stats.QuantileSortedExcluding), so no per-verdict copy exists at any
-// fleet size.
-//
-// The sorted mirror is maintained in one of two modes, switched on fleet
-// size. Small fleets (≤ peerIncrementalCutoff members) update it
-// incrementally on every Observe — O(P) memmove, cheap at that scale, and
-// verdicts stay exact under any interleaving of Observe and Verdict calls.
-// Above the cutoff the per-Observe memmove would dominate (a million-disk
-// sweep would move terabytes), so Observe only updates the member's cached
-// median and marks the mirror dirty; the next Verdict rebuilds it with one
-// O(P log P) sort into a reusable buffer. Large fleets should therefore
-// sweep in phases — observe every member, then read every verdict — which
-// is exactly what the fleet experiments' barrier hook does; a full sweep
-// at P=1M is one sort plus P binary searches, with zero allocation.
+// Each member's window median is cached on Observe. A member's peer
+// median is the median of every other observed member's cached median,
+// and that exclude-one median takes one of at most three values: which
+// one depends only on where the skipped member ranks against the middle
+// ranks of the fleet. Observe marks the cached order statistics stale;
+// the next verdict recomputes them with one O(P) selection (peerRef),
+// after which every verdict is O(1) with zero allocation at any fleet
+// size. Large fleets should sweep in phases — observe every member, then
+// read every verdict — which is exactly what the fleet experiments'
+// barrier hook does; a full sweep at P=1M is one selection plus P
+// constant-time reads.
 type PeerSet struct {
 	cfg     PeerConfig
 	members map[string]*peerMember
-	list    []*peerMember // members in insertion order, the rebuild source
-	meds    []float64     // every member's cached window median, ascending
-	// medsDirty marks the mirror stale (large-fleet mode); the next verdict
-	// rebuilds it.
-	medsDirty bool
-	sorter    medsSorter // boxed once via pointer receiver: 0-alloc rebuilds
-	ids       []string   // sorted member ids; nil after a membership change
-
-	// Parallel sweep-engine scratch (sweep.go), reused across sweeps:
-	// per-worker sorted runs with their sorters and merge cursors, and the
-	// per-worker flag counters reduced in global member order.
-	runs       []float64
-	runSorters []medsSorter
-	runHeads   []int
-	runEnds    []int
+	list    []*peerMember // members in insertion order, the dense sweep order
+	ids     []string      // sorted member ids; nil after a membership change
+	ref     peerRef       // fleet order statistics behind every peer median
+	// scratch is the selection buffer ref is computed in, and flagCounts
+	// the sweep engine's per-worker flag counters; both are reused.
+	scratch    []float64
 	flagCounts []int
-}
-
-// peerIncrementalCutoff is the fleet size above which PeerSet switches
-// from incremental sorted-mirror maintenance to deferred rebuild. Around
-// this point one O(P log P) sort per sweep undercuts P O(P) memmoves.
-const peerIncrementalCutoff = 512
-
-// medsSorter sorts the meds mirror in place under the sort.Float64s order
-// (NaNs first), matching stats.SortedInsert so the two maintenance modes
-// produce identical arrays. Pointer receiver: handing &p.sorter to
-// sort.Sort boxes a pointer, which never allocates.
-type medsSorter struct{ s []float64 }
-
-func (m *medsSorter) Len() int      { return len(m.s) }
-func (m *medsSorter) Swap(i, j int) { m.s[i], m.s[j] = m.s[j], m.s[i] }
-func (m *medsSorter) Less(i, j int) bool {
-	a, b := m.s[i], m.s[j]
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 type peerMember struct {
@@ -328,8 +295,7 @@ func NewPeerSet(cfg PeerConfig) *PeerSet {
 // Observe records a rate sample for the named component.
 func (p *PeerSet) Observe(id string, now, rate float64) {
 	m := p.members[id]
-	fresh := m == nil
-	if fresh {
+	if m == nil {
 		m = p.addMember(id)
 	}
 	if !m.sawAnything {
@@ -340,19 +306,8 @@ func (p *PeerSet) Observe(id string, now, rate float64) {
 		m.lastProgress = now
 	}
 	m.window.Observe(rate)
-	med := m.window.Median()
-	if len(p.members) > peerIncrementalCutoff || p.medsDirty {
-		// Large fleet — or a sweep already deferred maintenance: the mirror
-		// is (or will be) stale, so incremental upkeep would corrupt it.
-		// Defer to the next verdict's rebuild instead.
-		p.medsDirty = true
-	} else {
-		if !fresh {
-			p.meds = stats.SortedRemove(p.meds, m.med)
-		}
-		p.meds = stats.SortedInsert(p.meds, med)
-	}
-	m.med = med
+	m.med = m.window.Median()
+	p.ref.dirty = true
 }
 
 // addMember creates and indexes a fresh member.
@@ -367,20 +322,106 @@ func (p *PeerSet) addMember(id string) *peerMember {
 	return m
 }
 
-// rebuildMeds regenerates the ascending medians mirror from every member's
-// cached median: one copy in insertion order, one in-place sort, no
-// allocation once the buffer has grown to fleet size.
-func (p *PeerSet) rebuildMeds() {
-	if cap(p.meds) < len(p.list) {
-		p.meds = make([]float64, len(p.list), 2*len(p.list))
+// refresh recomputes the fleet order statistics from every observed
+// member's cached median when an Observe has made them stale. The copy
+// goes into a reusable buffer, sized to the fleet once, so no allocation
+// after the first sweep.
+func (p *PeerSet) refresh() {
+	if !p.ref.dirty {
+		return
 	}
-	p.meds = p.meds[:len(p.list)]
-	for i, m := range p.list {
-		p.meds[i] = m.med
+	if cap(p.scratch) < len(p.list) {
+		p.scratch = make([]float64, 0, len(p.list))
 	}
-	p.sorter.s = p.meds
-	sort.Sort(&p.sorter)
-	p.medsDirty = false
+	buf := p.scratch[:0]
+	for _, m := range p.list {
+		if m.sawAnything {
+			buf = append(buf, m.med)
+		}
+	}
+	p.ref.compute(buf)
+}
+
+// peerRef caches the ≤3 consecutive order statistics of the P fleet
+// medians that every exclude-one median is read from. With the member
+// removed there are P−1 medians, whose median interpolates ranks lo and
+// hi (equal when P−1 is odd). Removing a member of rank j shifts the
+// ranks at or above j down by one, so the exclude-one median reads ranks
+// lo/hi when j > hi, lo+1/hi+1 when j ≤ lo, and lo/hi+1 when j = hi:
+// only ranks lo, lo+1 and lo+2 are ever needed.
+type peerRef struct {
+	n      int        // P, the number of medians the statistics cover
+	lo, hi int        // the middle ranks of the P−1 remaining medians
+	frac   float64    // interpolation weight of rank hi
+	s      [3]float64 // order statistics at ranks lo, lo+1, lo+2
+	dirty  bool       // an Observe since compute: the statistics are stale
+}
+
+// compute selects the order statistics of meds, reordering it: one
+// quickselect at rank lo under the sort.Float64s order (NaNs first), then
+// one scan of the suffix it leaves above lo for the next one or two ranks.
+// The position arithmetic is stats.QuantileSortedExcluding's at q = 0.5.
+func (r *peerRef) compute(meds []float64) {
+	*r = peerRef{n: len(meds)}
+	if r.n <= 1 {
+		return
+	}
+	pos := 0.5 * float64(r.n-2)
+	r.lo, r.hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	r.frac = pos - float64(r.lo)
+	r.s[0] = stats.Select(meds, r.lo)
+	rest := meds[r.lo+1:]
+	r.s[1] = rest[0]
+	if r.hi == r.lo {
+		for _, v := range rest[1:] {
+			if stats.Less(v, r.s[1]) {
+				r.s[1] = v
+			}
+		}
+		return
+	}
+	// hi+1 ≤ P−1, so at least two medians rank above lo.
+	a, b := rest[0], rest[1]
+	if stats.Less(b, a) {
+		a, b = b, a
+	}
+	for _, v := range rest[2:] {
+		if stats.Less(v, b) {
+			if stats.Less(v, a) {
+				a, b = v, a
+			} else {
+				b = v
+			}
+		}
+	}
+	r.s[1], r.s[2] = a, b
+}
+
+// excluding returns the median of the fleet medians with one occurrence
+// of med — a member's own cached median — removed: at most two order
+// comparisons place med's first rank j against lo and hi. Tied medians
+// are interchangeable (excluding any one leaves the same multiset), and
+// the result is bit-identical to stats.QuantileSortedExcluding over the
+// sorted medians at j = stats.SearchSorted(sorted, med).
+func (r *peerRef) excluding(med float64) float64 {
+	if r.n <= 1 {
+		return math.NaN()
+	}
+	below := stats.Less(r.s[0], med) // j > lo
+	if r.lo == r.hi {
+		if below {
+			return r.s[0]
+		}
+		return r.s[1]
+	}
+	a, b := r.s[0], r.s[1] // j > hi
+	switch {
+	case !below: // j ≤ lo
+		a, b = r.s[1], r.s[2]
+	case !stats.Less(r.s[1], med): // j = hi
+		b = r.s[2]
+	}
+	return a*(1-r.frac) + b*r.frac
 }
 
 // Members returns the component ids in sorted order. The slice is cached
@@ -396,19 +437,6 @@ func (p *PeerSet) Members() []string {
 	return p.ids
 }
 
-// peerMedian computes the median of all members' cached recent medians,
-// excluding the given member. The member's entry is located by binary
-// search (duplicates are interchangeable — excluding any one of them
-// leaves the same multiset) and skipped by index arithmetic: no copy at
-// any fleet size.
-func (p *PeerSet) peerMedian(m *peerMember) float64 {
-	if len(p.meds) <= 1 {
-		return math.NaN()
-	}
-	j := stats.SearchSorted(p.meds, m.med)
-	return stats.QuantileSortedExcluding(p.meds, j, 0.5)
-}
-
 // Verdict classifies the named component as of the given time.
 func (p *PeerSet) Verdict(id string, now float64) spec.Verdict {
 	m := p.members[id]
@@ -418,9 +446,7 @@ func (p *PeerSet) Verdict(id string, now float64) spec.Verdict {
 	if v, done := p.quickVerdict(m, now); done {
 		return v
 	}
-	if p.medsDirty {
-		p.rebuildMeds()
-	}
+	p.refresh()
 	return p.classify(m)
 }
 
@@ -441,11 +467,11 @@ func (p *PeerSet) quickVerdict(m *peerMember, now float64) (v spec.Verdict, done
 }
 
 // classify compares the member's cached median against the exclude-one
-// fleet median. The sorted mirror must be clean: callers rebuild before
-// classifying (the parallel sweep rebuilds once, then fans classify
-// read-only across workers).
+// fleet median. The order statistics must be fresh: callers refresh
+// before classifying (the parallel sweep refreshes once, then fans
+// classify read-only across workers).
 func (p *PeerSet) classify(m *peerMember) spec.Verdict {
-	ref := p.peerMedian(m)
+	ref := p.ref.excluding(m.med)
 	if math.IsNaN(ref) {
 		return spec.Nominal
 	}

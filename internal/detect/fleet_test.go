@@ -10,15 +10,13 @@ import (
 	"failstutter/internal/stats"
 )
 
-// TestPeerSetLargeFleetMatchesBruteForce drives a fleet past the
-// incremental cutoff into deferred-rebuild mode and cross-checks every
-// verdict against an independent brute-force reference: window medians
-// recomputed from the raw samples, exclude-one fleet medians from a fresh
-// sort. The two sorted-mirror maintenance modes must be observationally
-// identical.
+// TestPeerSetLargeFleetMatchesBruteForce drives a fleet of several
+// hundred members and cross-checks every verdict against an independent
+// brute-force reference: window medians recomputed from the raw samples,
+// exclude-one fleet medians from a fresh sort.
 func TestPeerSetLargeFleetMatchesBruteForce(t *testing.T) {
 	const (
-		peers  = peerIncrementalCutoff + 40
+		peers  = 552
 		window = 5
 		rounds = 9
 	)
@@ -70,15 +68,15 @@ func TestPeerSetLargeFleetMatchesBruteForce(t *testing.T) {
 }
 
 // TestPeerSetInterleavedAcrossCutoff interleaves Observe and Verdict while
-// the fleet grows through the cutoff: every verdict issued mid-growth must
-// match a brute-force reference over the members seen so far, proving the
-// mode switch has no observable seam.
+// the fleet grows from 1 to 542 members — through 512, where an earlier
+// design switched maintenance modes: every verdict issued mid-growth must
+// match a brute-force reference over the members seen so far.
 func TestPeerSetInterleavedAcrossCutoff(t *testing.T) {
 	cfg := PeerConfig{WindowSamples: 3, Threshold: 0.7, MinPeers: 4}
 	p := NewPeerSet(cfg)
 	rng := rand.New(rand.NewSource(12))
 	var meds []float64
-	for i := 0; i < peerIncrementalCutoff+30; i++ {
+	for i := 0; i < 542; i++ {
 		rate := 90 + 20*rng.Float64()
 		if i%50 == 0 {
 			rate *= 0.2
@@ -104,11 +102,11 @@ func TestPeerSetInterleavedAcrossCutoff(t *testing.T) {
 	}
 }
 
-// TestPeerSetMillionMemberSweepNoAllocs is the tentpole's complexity
+// TestPeerSetMillionMemberSweepNoAllocs is the sweep's complexity
 // claim, pinned: one full monitoring sweep — observe every member, then
 // classify every member — over a million-disk fleet performs zero heap
 // allocations. The first sweep (AllocsPerRun's warm-up call) grows the
-// reusable medians buffer; steady state must stay flat.
+// reusable selection buffer; steady state must stay flat.
 func TestPeerSetMillionMemberSweepNoAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-member fleet build is slow; skipped in -short")

@@ -96,6 +96,25 @@ func BenchmarkTimerStop(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkHoldDeepHeap is the classic hold model at fleet scale: 2^18
+// events stay pending, and every fired event schedules one successor an
+// exponential delay later, so each op is one pop and one push on a heap
+// far larger than L2 — the kernel's share of a 2^18-disk fleet run.
+func BenchmarkHoldDeepHeap(b *testing.B) {
+	s := New()
+	rng := NewRNG(1)
+	var hold func()
+	hold = func() { s.After(rng.Exp(1), hold) }
+	for i := 0; i < 1<<18; i++ {
+		s.At(rng.Exp(1), hold)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step()
+	}
+}
+
 // BenchmarkStationPipeline measures a deep FCFS queue draining end to end:
 // the switch and RAID experiments push thousands of queued requests through
 // a station, so dequeue cost dominates.

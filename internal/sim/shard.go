@@ -478,9 +478,9 @@ func sortLane(evs []laneEvent) {
 func (s *Simulator) scheduleBatch(evs []laneEvent) {
 	n0 := len(s.heap)
 	for i := range evs {
-		idx := s.alloc(evs[i].at, evs[i].fn)
-		s.heap = append(s.heap, idx)
-		s.arena[idx].pos = int32(n0 + i)
+		e := s.alloc(evs[i].at, evs[i].fn)
+		s.heap = append(s.heap, e)
+		s.arena[e.idx].pos = int32(n0 + i)
 	}
 	n := len(s.heap)
 	if n == n0 {

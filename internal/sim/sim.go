@@ -8,12 +8,13 @@
 // in milliseconds and every run is reproducible from a seed.
 //
 // The kernel is built for the hot path: events live in a pooled arena and
-// are ordered by a hand-rolled 4-ary min-heap of arena indices, so a
-// schedule/fire cycle performs no heap allocation in steady state and no
-// interface boxing ever. Timer handles are values carrying a generation
-// counter, which keeps them safe against arena slot reuse: a handle whose
-// event has fired, been stopped, or whose slot now holds a newer event
-// reports not-pending and refuses to stop the newcomer.
+// are ordered by a hand-rolled 4-ary min-heap whose entries carry their
+// (time, sequence) key inline, so ordering never touches the arena, a
+// schedule/fire cycle performs no heap allocation in steady state, and no
+// interface boxing ever happens. Timer handles are values carrying a
+// generation counter, which keeps them safe against arena slot reuse: a
+// handle whose event has fired, been stopped, or whose slot now holds a
+// newer event reports not-pending and refuses to stop the newcomer.
 package sim
 
 import (
@@ -28,13 +29,10 @@ type Time = float64
 // Duration is a span of virtual time in seconds.
 type Duration = float64
 
-// event is a scheduled callback, stored in the simulator's arena. Events
-// are ordered by time, with ties broken by insertion sequence so that
-// execution order is deterministic.
+// event is a scheduled callback, stored in the simulator's arena. Its
+// ordering key lives in its heap entry, not here.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	fn func()
 	// pos is the event's position in the heap, -1 once fired or stopped.
 	pos int32
 	// gen increments every time the arena slot is released, invalidating
@@ -78,6 +76,23 @@ func (t Timer) Pending() bool {
 	return ev.gen == t.gen && ev.pos >= 0
 }
 
+// heapEntry is one live event in the heap: its ordering key inline and
+// its arena slot. Events are ordered by time, with ties broken by
+// insertion sequence so that execution order is deterministic.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	idx int32
+}
+
+// before orders heap entries by (at, seq).
+func (e *heapEntry) before(o *heapEntry) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
 // heapArity is the branching factor of the event heap. A 4-ary heap halves
 // the tree depth of a binary heap, trading slightly more comparisons per
 // level for fewer cache-missing swaps — a win for the sift-down-dominated
@@ -96,11 +111,11 @@ type StationProbe func(now Time, st *Station)
 type Simulator struct {
 	now Time
 	// arena holds every event slot ever allocated; free lists the slots
-	// currently available for reuse; heap holds arena indices of the live
-	// (scheduled, unstopped) events ordered by (at, seq).
+	// currently available for reuse; heap holds the live (scheduled,
+	// unstopped) events ordered by (at, seq).
 	arena   []event
 	free    []int32
-	heap    []int32
+	heap    []heapEntry
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -133,9 +148,10 @@ func (s *Simulator) EventsFired() uint64 { return s.fired }
 // are removed from the queue eagerly, so they never inflate this count.
 func (s *Simulator) Pending() int { return len(s.heap) }
 
-// alloc takes a slot from the free list (or grows the arena) and
-// initializes it for a new event.
-func (s *Simulator) alloc(t Time, fn func()) int32 {
+// alloc takes a slot from the free list (or grows the arena) for a new
+// event at t and returns its heap entry, stamped with the next sequence
+// number.
+func (s *Simulator) alloc(t Time, fn func()) heapEntry {
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -144,12 +160,10 @@ func (s *Simulator) alloc(t Time, fn func()) int32 {
 		s.arena = append(s.arena, event{})
 		idx = int32(len(s.arena) - 1)
 	}
-	ev := &s.arena[idx]
-	ev.at = t
-	ev.seq = s.seq
-	ev.fn = fn
+	s.arena[idx].fn = fn
+	e := heapEntry{at: t, seq: s.seq, idx: idx}
 	s.seq++
-	return idx
+	return e
 }
 
 // release returns a slot to the free list, dropping the closure so it can
@@ -163,35 +177,25 @@ func (s *Simulator) release(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// less orders heap entries by (at, seq).
-func (s *Simulator) less(a, b int32) bool {
-	ea, eb := &s.arena[a], &s.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
 // siftUp restores heap order from position i toward the root.
 func (s *Simulator) siftUp(i int) {
-	idx := s.heap[i]
+	e := s.heap[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		p := s.heap[parent]
-		if !s.less(idx, p) {
+		if !e.before(&s.heap[parent]) {
 			break
 		}
-		s.heap[i] = p
-		s.arena[p].pos = int32(i)
+		s.heap[i] = s.heap[parent]
+		s.arena[s.heap[i].idx].pos = int32(i)
 		i = parent
 	}
-	s.heap[i] = idx
-	s.arena[idx].pos = int32(i)
+	s.heap[i] = e
+	s.arena[e.idx].pos = int32(i)
 }
 
 // siftDown restores heap order from position i toward the leaves.
 func (s *Simulator) siftDown(i int) {
-	idx := s.heap[i]
+	e := s.heap[i]
 	n := len(s.heap)
 	for {
 		first := i*heapArity + 1
@@ -204,20 +208,19 @@ func (s *Simulator) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if s.less(s.heap[c], s.heap[best]) {
+			if s.heap[c].before(&s.heap[best]) {
 				best = c
 			}
 		}
-		b := s.heap[best]
-		if !s.less(b, idx) {
+		if !s.heap[best].before(&e) {
 			break
 		}
-		s.heap[i] = b
-		s.arena[b].pos = int32(i)
+		s.heap[i] = s.heap[best]
+		s.arena[s.heap[i].idx].pos = int32(i)
 		i = best
 	}
-	s.heap[i] = idx
-	s.arena[idx].pos = int32(i)
+	s.heap[i] = e
+	s.arena[e.idx].pos = int32(i)
 }
 
 // removeAt deletes the heap entry at position i, preserving heap order.
@@ -229,7 +232,7 @@ func (s *Simulator) removeAt(i int) {
 		return
 	}
 	s.heap[i] = last
-	s.arena[last].pos = int32(i)
+	s.arena[last.idx].pos = int32(i)
 	s.siftDown(i)
 	s.siftUp(i)
 }
@@ -244,12 +247,11 @@ func (s *Simulator) At(t Time, fn func()) Timer {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: schedule at non-finite time %v", t))
 	}
-	idx := s.alloc(t, fn)
+	e := s.alloc(t, fn)
 	i := len(s.heap)
-	s.heap = append(s.heap, idx)
-	s.arena[idx].pos = int32(i)
+	s.heap = append(s.heap, e)
 	s.siftUp(i)
-	return Timer{s: s, idx: idx, gen: s.arena[idx].gen}
+	return Timer{s: s, idx: e.idx, gen: s.arena[e.idx].gen}
 }
 
 // After schedules fn to run d seconds from now. A non-positive d runs the
@@ -271,12 +273,11 @@ func (s *Simulator) step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	idx := s.heap[0]
+	e := s.heap[0]
 	s.removeAt(0)
-	ev := &s.arena[idx]
-	s.now = ev.at
-	fn := ev.fn
-	s.release(idx)
+	s.now = e.at
+	fn := s.arena[e.idx].fn
+	s.release(e.idx)
 	s.fired++
 	fn()
 	return true
@@ -296,7 +297,7 @@ func (s *Simulator) nextAt() Time {
 	if len(s.heap) == 0 {
 		return math.Inf(1)
 	}
-	return s.arena[s.heap[0]].at
+	return s.heap[0].at
 }
 
 // runWindow executes every queued event with time strictly before h and
@@ -306,7 +307,7 @@ func (s *Simulator) nextAt() Time {
 // still deliver events ahead of them.
 func (s *Simulator) runWindow(h, limit Time) {
 	for len(s.heap) > 0 {
-		at := s.arena[s.heap[0]].at
+		at := s.heap[0].at
 		if at >= h || at > limit {
 			return
 		}
@@ -321,7 +322,7 @@ func (s *Simulator) RunUntil(t Time) {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
 	}
 	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 && s.arena[s.heap[0]].at <= t {
+	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= t {
 		s.step()
 	}
 	if !s.stopped && s.now < t {

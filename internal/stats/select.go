@@ -2,20 +2,20 @@ package stats
 
 import "math"
 
-// floatLess is the total order used by sort.Float64s: NaNs order before
-// every number, then ascending. Select and the Window's sorted companion
-// share it so in-place and sort-based quantiles agree exactly.
-func floatLess(a, b float64) bool {
+// Less is the total order used by sort.Float64s: NaNs order before every
+// number, then ascending. Select, SearchSorted and the Window's sorted
+// companion share it so in-place and sort-based quantiles agree exactly.
+func Less(a, b float64) bool {
 	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 // searchFirstGE returns the smallest index i with s[i] not less than x
-// under floatLess — the insertion point keeping s sorted.
+// under Less — the insertion point keeping s sorted.
 func searchFirstGE(s []float64, x float64) int {
 	lo, hi := 0, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if floatLess(s[mid], x) {
+		if Less(s[mid], x) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -36,22 +36,22 @@ func Select(xs []float64, k int) float64 {
 	lo, hi := 0, len(xs)-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if floatLess(xs[mid], xs[lo]) {
+		if Less(xs[mid], xs[lo]) {
 			xs[mid], xs[lo] = xs[lo], xs[mid]
 		}
-		if floatLess(xs[hi], xs[lo]) {
+		if Less(xs[hi], xs[lo]) {
 			xs[hi], xs[lo] = xs[lo], xs[hi]
 		}
-		if floatLess(xs[hi], xs[mid]) {
+		if Less(xs[hi], xs[mid]) {
 			xs[hi], xs[mid] = xs[mid], xs[hi]
 		}
 		pivot := xs[mid]
 		i, j := lo, hi
 		for i <= j {
-			for floatLess(xs[i], pivot) {
+			for Less(xs[i], pivot) {
 				i++
 			}
-			for floatLess(pivot, xs[j]) {
+			for Less(pivot, xs[j]) {
 				j--
 			}
 			if i <= j {
@@ -96,7 +96,7 @@ func QuantileInPlace(xs []float64, q float64) float64 {
 	// above lo, so the (lo+1)-th order statistic is its minimum.
 	b := xs[lo+1]
 	for _, v := range xs[lo+2:] {
-		if floatLess(v, b) {
+		if Less(v, b) {
 			b = v
 		}
 	}
@@ -112,28 +112,6 @@ func MedianInPlace(xs []float64) float64 { return QuantileInPlace(xs, 0.5) }
 // under the sort.Float64s order (NaNs first): the position of x's first
 // occurrence when present, else its insertion point.
 func SearchSorted(s []float64, x float64) int { return searchFirstGE(s, x) }
-
-// SortedInsert inserts x into ascending-sorted s, returning the extended
-// slice. Allocation-free while cap(s) > len(s).
-func SortedInsert(s []float64, x float64) []float64 {
-	idx := searchFirstGE(s, x)
-	s = append(s, 0)
-	copy(s[idx+1:], s[idx:])
-	s[idx] = x
-	return s
-}
-
-// SortedRemove removes one occurrence of x from ascending-sorted s,
-// returning the shortened slice; s is returned unchanged when x is
-// absent. NaNs match each other.
-func SortedRemove(s []float64, x float64) []float64 {
-	idx := searchFirstGE(s, x)
-	if idx >= len(s) || (s[idx] != x && !(math.IsNaN(s[idx]) && math.IsNaN(x))) {
-		return s
-	}
-	copy(s[idx:], s[idx+1:])
-	return s[:len(s)-1]
-}
 
 // QuantileSorted returns the q-quantile of an already ascending-sorted
 // slice in O(1), without copying. Callers that sort once and read several
