@@ -247,23 +247,22 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 		fleetSamples = 2
 	}
 	type fleetConfig struct {
-		name      string
-		shards    int
-		workers   int
-		rebalance bool
-		traced    bool
-		samples   int
+		name    string
+		shards  int
+		workers int
+		traced  bool
+		samples int
 	}
 	configs := []fleetConfig{
 		// The headline pair: fully serial (one shard, one sweep worker)
-		// versus the configured parallelism with load-balanced placement.
+		// versus the configured parallelism.
 		{name: "fleet/1M/serial", shards: 1, workers: 1, samples: fleetSamples},
 		{name: "fleet/1M/sharded", shards: cfg.ShardCount(), workers: cfg.SweepWorkers,
-			rebalance: true, samples: fleetSamples},
+			samples: fleetSamples},
 		// The tracing tax at fleet scale: the same sharded configuration
-		// with per-shard collectors and the flight recorder on.
+		// with per-shard tracers and the flight recorder on.
 		{name: "fleet/1M/traced", shards: cfg.ShardCount(), workers: cfg.SweepWorkers,
-			rebalance: true, traced: true, samples: fleetSamples},
+			traced: true, samples: fleetSamples},
 	}
 	// The sweep-worker scaling axis: same sharded kernel, barrier pool
 	// doubling from 1 to GOMAXPROCS. One sample each — the axis maps the
@@ -271,7 +270,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 	for w := 1; w <= runtime.GOMAXPROCS(0); w *= 2 {
 		configs = append(configs, fleetConfig{
 			name:   fmt.Sprintf("fleet/1M/sharded/w=%d", w),
-			shards: cfg.ShardCount(), workers: w, rebalance: true, samples: 1,
+			shards: cfg.ShardCount(), workers: w, samples: 1,
 		})
 	}
 	medians := map[string]float64{}
@@ -294,8 +293,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 					}
 					r := experiments.RunFleetScenario(experiments.FleetParams{
 						Disks: megaFleetDisks, Shards: c.shards, Seed: cfg.Seed,
-						SweepWorkers: c.workers, Rebalance: c.rebalance,
-						Telemetry: tel,
+						SweepWorkers: c.workers, Telemetry: tel,
 					})
 					events = r.Events
 				}

@@ -37,9 +37,8 @@ func init() {
 }
 
 // fleetTick is the virtual-time interval between fleet sweeps, and also
-// the sharded kernel's lookahead bound: the fleet's disks never interact
-// within a tick, so any positive lookahead is safe, and one tick per
-// window keeps every barrier aligned with a sweep.
+// the sharded kernel's lookahead, its window width: one tick per window
+// keeps every barrier aligned with a sweep.
 const fleetTick = sim.Duration(1)
 
 // FleetParams configures one fleet scenario run.
@@ -57,19 +56,12 @@ type FleetParams struct {
 	// observe and classify phases fan across this many workers. Zero means
 	// GOMAXPROCS. The result is byte-identical at any value.
 	SweepWorkers int
-	// Rebalance load-balances disks across shards before construction: an
-	// analytic per-disk event-cost model (built from a pure RNG pre-pass,
-	// so the main pass's draws are untouched) feeds
-	// sim.RecommendPlacement, and the plan is installed with SetPlacement.
-	// Placement is just another partition, so results are unchanged; only
-	// the per-shard wall-clock balance moves.
-	Rebalance bool
 	// ObserveBarrier, when non-nil, enables the kernel's barrier cost
 	// counters and receives the profile after the run.
 	ObserveBarrier func(st sim.BarrierStats, perShard []uint64)
-	// Telemetry, when non-nil, traces the fleet: per-shard collectors are
+	// Telemetry, when non-nil, traces the fleet: per-shard tracers are
 	// installed on the kernel and every disk station records into its home
-	// shard's collector. Fleet runs are expected to set Telemetry.Recorder
+	// shard's tracer. Fleet runs are expected to set Telemetry.Recorder
 	// (the flight-recorder bound) — retaining every span of a million-disk
 	// run wholesale is exactly what the recorder exists to avoid.
 	Telemetry *Telemetry
@@ -136,9 +128,6 @@ func RunFleetScenario(p FleetParams) FleetResult {
 		ss.Profile()
 	}
 	root := sim.NewRNG(p.Seed).Fork("e32")
-	if p.Rebalance {
-		ss.SetPlacement(sim.RecommendPlacement(fleetLoadModel(root, p), p.Shards))
-	}
 	p.Telemetry.attachSharded(ss)
 
 	disks := make([]fleetDisk, p.Disks)
@@ -282,38 +271,6 @@ func FleetRecorder(seed uint64) trace.RecorderConfig {
 		Reservoir: fleetReservoir,
 		Seed:      sim.NewRNG(seed).Fork("e32-flight-recorder").Uint64(),
 	}
-}
-
-// fleetLoadModel predicts each disk's kernel-event cost before the fleet
-// is built, by replaying the construction loop's per-disk RNG draws:
-// Fork is pure (it hashes, never consumes parent state), so this pre-pass
-// leaves the main pass's streams untouched. The model counts completions
-// — two per tick at full rate — plus the injection event: a failed disk
-// stops at the fault tick, a stuttered one drops to a quarter rate (one
-// completion every two ticks), a healthy one runs full the whole way.
-// The units are approximate event counts, but RecommendPlacement only
-// needs the ratios.
-func fleetLoadModel(root *sim.RNG, p FleetParams) []sim.Load {
-	faultTick := p.Ticks / 3
-	const (
-		stutterFrac = 1.0 / 512
-		failFrac    = 1.0 / 1024
-	)
-	loads := make([]sim.Load, p.Disks)
-	for i := range loads {
-		id := fmt.Sprintf("d%07d", i)
-		rng := root.Fork(id)
-		rng.Float64() // rate draw; cost depends only on the fault draw
-		cost := 2 * float64(p.Ticks)
-		switch u := rng.Float64(); {
-		case u < failFrac:
-			cost = 2*float64(faultTick) + 1
-		case u < failFrac+stutterFrac:
-			cost = 2*float64(faultTick) + 0.5*float64(p.Ticks-faultTick) + 1
-		}
-		loads[i] = sim.Load{ID: id, Cost: cost}
-	}
-	return loads
 }
 
 func runE32(cfg Config) *Table {

@@ -66,21 +66,15 @@ func (tel *Telemetry) attachProfile(s *sim.Simulator, run string) {
 	s.SetStationProbe(profile.StationSampler(tel.Metrics, run))
 }
 
-// attachSharded installs per-shard telemetry collectors on one sub-run's
-// coordinator, feeding this telemetry's sinks (and flight-recorder
-// bound, if set). Components wired afterwards record shard-locally; the
-// sub-run's endSharded folds everything back. A no-op when telemetry is
-// off.
+// attachSharded installs per-shard tracers on one sub-run's coordinator,
+// feeding this telemetry's tracer (under its flight-recorder bound, if
+// set). Components wired afterwards record shard-locally; the sub-run's
+// endSharded folds the spans back. A no-op when tracing is off.
 func (tel *Telemetry) attachSharded(ss *sim.ShardedSimulator) {
 	if tel == nil {
 		return
 	}
-	ss.SetTelemetry(sim.TelemetrySinks{
-		Tracer:         tel.Tracer,
-		Metrics:        tel.Metrics,
-		Audit:          tel.Audit,
-		FlightRecorder: tel.Recorder,
-	})
+	ss.SetTelemetry(tel.Tracer, tel.Recorder)
 }
 
 // nextRun labels one sub-run (one simulator instance) within the
@@ -105,7 +99,7 @@ func (tel *Telemetry) endRun(s *sim.Simulator) {
 }
 
 // endSharded closes a sharded sub-run: the coordinator's per-shard
-// collectors flush and fold into the telemetry sinks in canonical merge
+// tracers flush and fold into the telemetry tracer in canonical merge
 // order, then the time base advances exactly as endRun does. The fold
 // happens at the maximum shard clock — the one end-of-run instant that
 // reads the same at every shard count — so the next sub-run's layout is

@@ -10,8 +10,8 @@ import (
 const BarrierSchema = "fstutter-barrier/1"
 
 // BarrierRun is one sharded-kernel run's barrier cost profile: how many
-// safe windows the run took, how much work they held, how much of that
-// work crossed shards, and how evenly it spread. Everything here is
+// safe windows the run took, how much work they held, and how evenly it
+// spread. Everything here is
 // byte-deterministic for a fixed seed and shard count except the two
 // nanosecond fields, which are wall-clock and excluded from the JSON
 // artifact.
@@ -26,8 +26,8 @@ type BarrierRun struct {
 	Windows uint64
 	Fired   uint64
 	// Delivered is the number of cross-shard events carried over a
-	// barrier; Delivered/Fired is the cross-shard fraction of the
-	// workload.
+	// barrier. The kernel's shards exchange no events, so it reads 0; it
+	// stays so the fstutter-barrier/1 schema keeps its fields.
 	Delivered uint64
 	// SoloWindows counts windows in which at most one shard had eligible
 	// work — windows with zero parallelism to harvest.
@@ -41,9 +41,9 @@ type BarrierRun struct {
 	// WindowNanos and BarrierNanos split the run's wall-clock between
 	// the parallel window region and the single-threaded barrier.
 	// DeliverNanos and SweepNanos split BarrierNanos further: the
-	// cross-shard merge-and-push (the merge wall) versus the barrier hook
-	// (the sweep wall — for the fleet, the parallel PeerSet sweep).
-	// Wall-clock: nondeterministic, text report only.
+	// cross-shard merge wall, which reads 0 like Delivered, versus the
+	// barrier hook (the sweep wall — for the fleet, the parallel PeerSet
+	// sweep). Wall-clock: nondeterministic, text report only.
 	WindowNanos  int64
 	BarrierNanos int64
 	DeliverNanos int64

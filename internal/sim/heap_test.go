@@ -38,8 +38,7 @@ func (q *refQueue) pending() int {
 }
 
 // TestKernelMatchesSortedReferenceProperty runs random programs of At,
-// After, Timer.Stop, RunUntil and scheduleBatch — the sharded delivery
-// path's batch push — against refQueue. Every fired event must be the
+// After, Timer.Stop and RunUntil against refQueue. Every fired event must be the
 // reference's (at, seq) minimum at that moment, Stop must agree with the
 // reference on whether the event was pending, and the pending counts must
 // match after every operation. Callbacks schedule and stop events too, so
@@ -54,7 +53,7 @@ func TestKernelMatchesSortedReferenceProperty(t *testing.T) {
 		rng := NewRNG(uint64(1000 + prog))
 		s := New()
 		var ref refQueue
-		var timers []Timer // timers[id] is event id's handle; zero for batch events
+		var timers []Timer // timers[id] is event id's handle
 		delay := func() Duration { return float64(rng.Intn(8)) * 0.25 }
 
 		var schedule func(at Time, viaAfter bool)
@@ -94,15 +93,6 @@ func TestKernelMatchesSortedReferenceProperty(t *testing.T) {
 				schedule(s.Now()+delay(), k < 2)
 			case k < 6:
 				stop(fatalf, rng, timers, &ref)
-			case k < 7:
-				n := 1 + rng.Intn(12)
-				batch := make([]laneEvent, n)
-				for i := range batch {
-					at := s.Now() + delay()
-					batch[i] = laneEvent{at: at, fn: fire(ref.push(at))}
-					timers = append(timers, Timer{})
-				}
-				s.scheduleBatch(batch)
 			default:
 				until := s.Now() + delay()
 				s.RunUntil(until)
@@ -125,14 +115,14 @@ func TestKernelMatchesSortedReferenceProperty(t *testing.T) {
 }
 
 // stop cancels a random timer and checks Stop's report against the
-// reference. Batch events have zero handles, which must refuse.
+// reference.
 func stop(fatalf func(string, ...any), rng *RNG, timers []Timer, ref *refQueue) {
 	if len(timers) == 0 {
 		return
 	}
 	id := rng.Intn(len(timers))
 	tm := timers[id]
-	want := tm != (Timer{}) && ref.live[id]
+	want := ref.live[id]
 	if got := tm.Pending(); got != want {
 		fatalf("timer %d: Pending() = %v, reference %v", id, got, want)
 	}

@@ -13,13 +13,8 @@ import "sort"
 // after all of them and replays the posts sorted by key. Arrivals that
 // were scheduled before the instant began — any hop with positive latency
 // — therefore land in one batch. A post made after the drain has run
-// starts a fresh batch with its own drain.
-//
-// On a shard kernel of a ShardedSimulator the same holds for cross-shard
-// deliveries: they are batch-inserted at the barrier before the window
-// that executes them, so their order — (source shard, source seq), which
-// depends on the partition — never reaches the component. Keys must be
-// unique per instant (the idiom is senderID<<32 | senderSeq).
+// starts a fresh batch with its own drain. Keys must be unique per
+// instant (the idiom is senderID<<32 | senderSeq).
 type Mailbox struct {
 	s         *Simulator
 	pending   []mailboxItem

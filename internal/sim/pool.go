@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 )
 
@@ -22,15 +24,19 @@ import (
 // ranges), with any cross-worker reduction performed by the caller after
 // Do returns, in worker order.
 //
+// A panic in fn does not kill the process from a worker goroutine: every
+// worker's panic is recovered, and once all workers have returned, Do
+// re-raises on the caller, lowest worker index first.
+//
 // A WorkerPool is not itself safe for concurrent Do calls; one barrier
 // hook owns it at a time, which is exactly how the sharded kernel runs.
 type WorkerPool struct {
-	n       int
-	fn      func(int)
-	wake    []chan struct{}
-	done    sync.WaitGroup
-	started bool
-	closed  bool
+	n      int
+	fn     func(int)
+	wake   []chan struct{}
+	done   sync.WaitGroup
+	failed []string
+	closed bool
 }
 
 // NewWorkerPool builds a pool of n workers; n <= 0 means GOMAXPROCS.
@@ -38,7 +44,7 @@ func NewWorkerPool(n int) *WorkerPool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &WorkerPool{n: n}
+	return &WorkerPool{n: n, failed: make([]string, n)}
 }
 
 // Workers returns the pool's fan-out.
@@ -50,32 +56,46 @@ func (p *WorkerPool) Do(fn func(worker int)) {
 	if p.closed {
 		panic("sim: Do on a closed WorkerPool")
 	}
-	if p.n == 1 {
-		fn(0)
-		return
-	}
-	if !p.started {
-		p.started = true
-		p.wake = make([]chan struct{}, p.n)
+	p.fn = fn
+	if p.n > 1 {
+		if p.wake == nil {
+			p.start()
+		}
+		p.done.Add(p.n - 1)
 		for w := 1; w < p.n; w++ {
-			ch := make(chan struct{}, 1)
-			p.wake[w] = ch
-			go func(w int, ch chan struct{}) {
-				for range ch {
-					p.fn(w)
-					p.done.Done()
-				}
-			}(w, ch)
+			p.wake[w] <- struct{}{}
 		}
 	}
-	p.fn = fn
-	p.done.Add(p.n - 1)
-	for w := 1; w < p.n; w++ {
-		p.wake[w] <- struct{}{}
-	}
-	fn(0)
+	p.run(0)
 	p.done.Wait()
 	p.fn = nil
+	raise(p.failed)
+}
+
+// start launches the parked goroutines of workers 1..n-1.
+func (p *WorkerPool) start() {
+	p.wake = make([]chan struct{}, p.n)
+	for w := 1; w < p.n; w++ {
+		ch := make(chan struct{}, 1)
+		p.wake[w] = ch
+		go func(w int, ch chan struct{}) {
+			for range ch {
+				p.run(w)
+				p.done.Done()
+			}
+		}(w, ch)
+	}
+}
+
+// run calls the current fn for worker w, recording a panic in
+// p.failed[w] instead of letting it unwind the worker.
+func (p *WorkerPool) run(w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.failed[w] = recovered(fmt.Sprintf("sim: worker %d", w), r)
+		}
+	}()
+	p.fn(w)
 }
 
 // Close parks the pool permanently, stopping its goroutines. Idempotent;
@@ -87,6 +107,28 @@ func (p *WorkerPool) Close() {
 	p.closed = true
 	for w := 1; w < len(p.wake); w++ {
 		close(p.wake[w])
+	}
+}
+
+// recovered formats a panic caught in a parallel section: where it
+// happened, the panic value, and the panicking goroutine's stack, which
+// the re-raise on the coordinator would otherwise lose.
+func recovered(where string, r any) string {
+	return fmt.Sprintf("%s: %v\n\n%s", where, r, debug.Stack())
+}
+
+// raise re-panics with every recorded failure, lowest index first, and
+// clears them; it returns normally when nothing failed.
+func raise(failed []string) {
+	var msgs []string
+	for i, f := range failed {
+		if f != "" {
+			msgs = append(msgs, f)
+			failed[i] = ""
+		}
+	}
+	if msgs != nil {
+		panic(strings.Join(msgs, "\n"))
 	}
 }
 

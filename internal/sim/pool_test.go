@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestWorkerPoolRunsEveryWorker checks the fan-out contract — fn(w) runs
@@ -116,4 +119,55 @@ func TestBarrierPoolLifecycle(t *testing.T) {
 		}
 	}()
 	ss.SetBarrierParallelism(5)
+}
+
+// TestWorkerPoolPanicNamesWorker panics in fn on worker 1 of 2: Do must
+// re-raise on the caller, naming the worker and carrying the failing
+// goroutine's stack. A panic on worker 0, which runs inline, must still
+// wait for worker 1 before it unwinds. The pool stays usable afterwards
+// and still closes cleanly.
+func TestWorkerPoolPanicNamesWorker(t *testing.T) {
+	p := NewWorkerPool(2)
+	do := func(fn func(int)) (r any) {
+		defer func() { r = recover() }()
+		p.Do(fn)
+		return nil
+	}
+	got := do(func(w int) {
+		if w == 1 {
+			panic("boom")
+		}
+	})
+	msg, ok := got.(string)
+	if !ok {
+		t.Fatalf("recovered %T %v, want a string panic", got, got)
+	}
+	if want := "sim: worker 1: boom\n"; !strings.HasPrefix(msg, want) {
+		t.Fatalf("panic message %q, want prefix %q", msg, want)
+	}
+	if !strings.Contains(msg, "goroutine ") {
+		t.Fatalf("panic message carries no stack of the failing goroutine: %q", msg)
+	}
+
+	var worker1Done atomic.Bool
+	got = do(func(w int) {
+		if w == 0 {
+			panic("inline")
+		}
+		time.Sleep(20 * time.Millisecond)
+		worker1Done.Store(true)
+	})
+	if msg := fmt.Sprint(got); !strings.HasPrefix(msg, "sim: worker 0: inline\n") {
+		t.Fatalf("worker 0 panic message %q", msg)
+	}
+	if !worker1Done.Load() {
+		t.Fatal("worker 0's panic unwound before worker 1 returned")
+	}
+
+	var ran atomic.Int64
+	if r := do(func(int) { ran.Add(1) }); r != nil || ran.Load() != 2 {
+		t.Fatalf("Do after a panic: recovered %v, ran %d workers, want nil and 2", r, ran.Load())
+	}
+	p.Close()
+	p.Close()
 }

@@ -4,45 +4,28 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"sync"
 	"time"
+
+	"failstutter/internal/trace"
 )
 
-// ShardedSimulator runs one simulation on all cores: components are
-// partitioned into shard groups, each shard owning a full event kernel
-// (its own arena, 4-ary heap and sequence counter), and the shards advance
-// together through conservative safe windows.
+// ShardedSimulator runs one simulation of independent components on all
+// cores: components are partitioned into shard groups, each shard owning
+// a full event kernel (its own arena, 4-ary heap and sequence counter),
+// and the shards advance together through fixed-width safe windows.
 //
-// The synchronization protocol is the bounded-lag variant of conservative
-// (null-message) parallel discrete-event simulation. Let T be the earliest
-// pending event time across all shards and L the lookahead — a lower bound
-// on the delay of any cross-shard interaction (for simulated hardware, the
-// minimum link latency or service time). Every event in [T, T+L) is safe
-// to execute without coordination: an event at time u >= T can only
-// influence another shard at or after u+L >= T+L, beyond the window. Each
-// window therefore runs all shards in parallel up to the horizon H = T+L,
-// then a barrier delivers the buffered cross-shard events and the next
-// window begins.
-//
-// Cross-shard sends take a batched data path built for throughput: each
-// (source, destination) pair owns an outbox lane that the source appends
-// to in send order — already sorted by construction when senders emit at
-// monotone times, with a per-lane sort fallback otherwise. At the barrier
-// the lanes feeding each destination are combined by a k-way streaming
-// merge keyed on (time, source shard, source sequence) and the merged run
-// is pushed into the destination heap as one batch, restoring heap order
-// with a single bounded Floyd pass over the affected ancestor cone rather
-// than a sift per event.
+// Shards never exchange events. Let T be the earliest pending event time
+// across all shards and L the lookahead, the window width: each window
+// runs every shard in parallel up to the horizon H = T+L, then the
+// barrier hook runs single-threaded at H and the next window begins. The
+// lookahead is therefore just the barrier period; a fleet that sweeps
+// its components once per virtual tick sets it to the tick.
 //
 // Determinism is by construction, at any shard count:
 //
 //   - each shard's events execute in (time, seq) order exactly as a
 //     lone Simulator would execute them;
-//   - cross-shard events are buffered per (source, destination) lane and
-//     delivered at the barrier in (time, source shard, source seq) order,
-//     so the destination's tie-break sequence numbers never depend on
-//     goroutine scheduling;
 //   - the window horizon sequence depends only on the global event set
 //     (the minimum next-event time is the same however components are
 //     sharded), so barrier-driven logic fires identically at any shard
@@ -53,23 +36,14 @@ import (
 // from its own RNG stream forked by component identity (the repository
 // idiom), and same-timestamp events on *different* components must
 // commute (their relative order is the one ordering that legitimately
-// varies with the partition). Planes that cannot make same-time events
-// commute order them explicitly instead: a Mailbox gathers same-time
-// deliveries and replays them sorted by a placement-invariant key.
+// varies with the partition).
+//
+// A panic in a shard's event does not kill the process from the window
+// goroutine: it is recovered there and re-raised on the coordinator once
+// every shard has finished the window, naming the shard and the horizon.
 type ShardedSimulator struct {
 	shards    []*Simulator
 	lookahead Duration
-
-	// lanes[src*k+dst] buffers cross-shard events emitted by shard src for
-	// shard dst during the current window. Each shard appends only to its
-	// own row of lanes, so the window needs no locks; the barrier drains
-	// all of them with a per-destination k-way merge.
-	lanes []lane
-	// batch is the barrier's reusable per-destination merge buffer.
-	batch []laneEvent
-	// sendSeq[src] numbers shard src's sends, the final tie-break of the
-	// delivery order.
-	sendSeq []uint64
 
 	// barrier, when non-nil, runs single-threaded after every window with
 	// the window horizon. Fleet-wide logic (peer detectors sweeping
@@ -77,57 +51,34 @@ type ShardedSimulator struct {
 	// any shard and schedule new events at or after the horizon.
 	barrier func(horizon Time)
 
-	// inWindow marks the parallel section, in which cross-shard sends
-	// must respect the lookahead bound and barrier-only calls must not
-	// run.
+	// inWindow marks the parallel section, in which barrier-only calls
+	// must not run.
 	inWindow bool
+
+	// failed[i] records a panic recovered from shard i's window goroutine
+	// until the coordinator re-raises it.
+	failed []string
 
 	// prof, when non-nil, accumulates barrier cost statistics.
 	prof *BarrierStats
-
-	// stopped requests that the window loop halt at the next barrier;
-	// pending events stay queued, exactly as Simulator.Stop leaves them.
-	stopped bool
-
-	// placement, when non-nil, overrides the identity hash for the listed
-	// stations — the construction-time rebalancing plan (SetPlacement).
-	placement map[string]int
 
 	// barrierWorkers and pool hold the reusable barrier worker pool
 	// (BarrierPool), which fleet-wide barrier hooks fan sweeps across.
 	barrierWorkers int
 	pool           *WorkerPool
 
-	// tel, when non-nil, holds the per-shard telemetry collectors
-	// installed by SetTelemetry and folded into the destination sinks by
-	// MergeTelemetry.
-	tel *shardTelemetry
-}
-
-// lane is one (source, destination) outbox: events appended in source
-// send order. sorted tracks whether the appended times are nondecreasing
-// — the common case, since senders emit at now+latency with monotone now —
-// letting the barrier skip the sort fallback.
-type lane struct {
-	evs    []laneEvent
-	sorted bool
-}
-
-// laneEvent is a buffered cross-shard message within one lane: fn will be
-// scheduled on the lane's destination at time at; seq is the source
-// shard's send sequence, the final delivery tie-break.
-type laneEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
+	// traceSink and tracers, when non-nil, are the destination tracer and
+	// the per-shard collectors installed by SetTelemetry and folded into
+	// the sink by MergeTelemetry.
+	traceSink *trace.Tracer
+	tracers   []*trace.Tracer
 }
 
 // NewSharded builds a simulator partitioned into the given number of
-// shards with the given lookahead bound. A shard count of 1 degenerates to
-// a windowed — but otherwise identical — serial simulation, which is the
-// baseline the determinism suite compares against. The lookahead must be
-// positive: it is the protocol's safety margin, derived from the minimum
-// cross-shard interaction delay.
+// shards with the given lookahead, the width of every safe window. A
+// shard count of 1 degenerates to a windowed — but otherwise identical —
+// serial simulation, which is the baseline the determinism suite
+// compares against. The lookahead must be positive and finite.
 func NewSharded(shards int, lookahead Duration) *ShardedSimulator {
 	if shards < 1 {
 		panic(fmt.Sprintf("sim: sharded simulator needs at least 1 shard, got %d", shards))
@@ -138,11 +89,7 @@ func NewSharded(shards int, lookahead Duration) *ShardedSimulator {
 	ss := &ShardedSimulator{
 		shards:    make([]*Simulator, shards),
 		lookahead: lookahead,
-		lanes:     make([]lane, shards*shards),
-		sendSeq:   make([]uint64, shards),
-	}
-	for i := range ss.lanes {
-		ss.lanes[i].sorted = true
+		failed:    make([]string, shards),
 	}
 	for i := range ss.shards {
 		ss.shards[i] = New()
@@ -155,50 +102,13 @@ func NewSharded(shards int, lookahead Duration) *ShardedSimulator {
 // shard i's events must touch only state owned by shard i.
 func (ss *ShardedSimulator) Shard(i int) *Simulator { return ss.shards[i] }
 
-// ShardFor assigns a component key to a shard: the placement plan's
-// entry when one was installed (SetPlacement), else a stable FNV-1a hash
-// of the identity — never of execution order, so a component lands on
-// the same shard in every run at a given shard count and plan.
+// ShardFor assigns a component key to a shard by a stable FNV-1a hash of
+// the identity — never of execution order, so a component lands on the
+// same shard in every run at a given shard count.
 func (ss *ShardedSimulator) ShardFor(key string) int {
-	if shard, ok := ss.placement[key]; ok {
-		return shard
-	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return int(h.Sum64() % uint64(len(ss.shards)))
-}
-
-// Send schedules fn on shard dst at absolute time at, from code running on
-// shard src. The event is appended to the (src, dst) outbox lane and
-// delivered at the next barrier in (time, source shard, source sequence)
-// order. Inside a window the time must respect the lookahead bound
-// (at >= source now + lookahead) — that bound is what makes the window
-// safe to run in parallel, so violating it panics loudly, naming the
-// offending component, rather than corrupting the timeline. origin
-// identifies the sending component for that diagnostic; it is not part of
-// the delivery order. Same-shard sends take the same buffered path,
-// keeping delivery semantics uniform.
-func (ss *ShardedSimulator) Send(src, dst int, at Time, origin string, fn func()) {
-	s := ss.shards[src]
-	if ss.inWindow {
-		if min := s.now + ss.lookahead; at < min {
-			panic(fmt.Sprintf("sim: %s: cross-shard send (shard %d -> %d) at %v violates lookahead bound %v (now %v + lookahead %v)",
-				origin, src, dst, at, min, s.now, ss.lookahead))
-		}
-	} else if at < s.now {
-		panic(fmt.Sprintf("sim: %s: cross-shard send (shard %d -> %d) at %v before source now %v",
-			origin, src, dst, at, s.now))
-	}
-	if math.IsNaN(at) || math.IsInf(at, 0) {
-		panic(fmt.Sprintf("sim: %s: cross-shard send (shard %d -> %d) at non-finite time %v",
-			origin, src, dst, at))
-	}
-	ln := &ss.lanes[src*len(ss.shards)+dst]
-	if n := len(ln.evs); n > 0 && at < ln.evs[n-1].at {
-		ln.sorted = false
-	}
-	ln.evs = append(ln.evs, laneEvent{at: at, seq: ss.sendSeq[src], fn: fn})
-	ss.sendSeq[src]++
 }
 
 // SetBarrier installs (or, with nil, removes) the hook run single-threaded
@@ -234,21 +144,17 @@ func (ss *ShardedSimulator) EventsFired() uint64 {
 	return n
 }
 
-// Pending returns the number of live events queued across all shards plus
-// any cross-shard events awaiting delivery.
+// Pending returns the number of live events queued across all shards.
 func (ss *ShardedSimulator) Pending() int {
 	n := 0
 	for _, s := range ss.shards {
 		n += len(s.heap)
 	}
-	for i := range ss.lanes {
-		n += len(ss.lanes[i].evs)
-	}
 	return n
 }
 
-// nextTime returns the earliest pending event time across shards and
-// undelivered cross-shard sends, or +Inf when everything is drained.
+// nextTime returns the earliest pending event time across shards, or +Inf
+// when everything is drained.
 func (ss *ShardedSimulator) nextTime() Time {
 	t := math.Inf(1)
 	for _, s := range ss.shards {
@@ -256,26 +162,11 @@ func (ss *ShardedSimulator) nextTime() Time {
 			t = at
 		}
 	}
-	for i := range ss.lanes {
-		for _, ev := range ss.lanes[i].evs {
-			if ev.at < t {
-				t = ev.at
-			}
-		}
-	}
 	return t
 }
 
-// Run executes safe windows until every shard's queue and every lane
-// drains.
+// Run executes safe windows until every shard's queue drains.
 func (ss *ShardedSimulator) Run() { ss.RunUntil(math.Inf(1)) }
-
-// Stop requests that the run halt after the current window's barrier.
-// Only the barrier hook may call it — it is the single-threaded point with
-// authority over the whole fleet — and pending events stay queued, exactly
-// as Simulator.Stop leaves them. The next Run or RunUntil clears the
-// request.
-func (ss *ShardedSimulator) Stop() { ss.stopped = true }
 
 // RunUntil executes all events scheduled at or before limit, window by
 // window, then advances every shard clock to exactly limit (when finite).
@@ -283,8 +174,7 @@ func (ss *ShardedSimulator) Stop() { ss.stopped = true }
 // leaves them.
 func (ss *ShardedSimulator) RunUntil(limit Time) {
 	prof := ss.prof
-	ss.stopped = false
-	for !ss.stopped {
+	for {
 		t := ss.nextTime()
 		if t > limit || math.IsInf(t, 1) {
 			break
@@ -311,22 +201,16 @@ func (ss *ShardedSimulator) RunUntil(limit Time) {
 			}
 			wall = mid
 		}
-		ss.deliver()
-		var delivered time.Time
-		if prof != nil {
-			delivered = time.Now()
-			prof.DeliverNanos += delivered.Sub(wall).Nanoseconds()
-		}
 		if ss.barrier != nil {
 			ss.barrier(h)
 		}
 		if prof != nil {
-			end := time.Now()
-			prof.SweepNanos += end.Sub(delivered).Nanoseconds()
-			prof.BarrierNanos += end.Sub(wall).Nanoseconds()
+			d := time.Since(wall).Nanoseconds()
+			prof.SweepNanos += d
+			prof.BarrierNanos += d
 		}
 	}
-	if !ss.stopped && !math.IsInf(limit, 1) {
+	if !math.IsInf(limit, 1) {
 		for _, s := range ss.shards {
 			if s.now < limit {
 				s.now = limit
@@ -338,185 +222,63 @@ func (ss *ShardedSimulator) RunUntil(limit Time) {
 // runOneWindow executes every shard's events in [now, h) ∩ [0, limit] —
 // in parallel when more than one shard has eligible work, inline
 // otherwise, so a single-shard configuration never pays goroutine
-// overhead. It returns the number of shards that had eligible work.
+// overhead. It returns the number of shards that had eligible work. A
+// shard whose event panics is recorded; once every shard has finished,
+// the lowest-index failure (with any others after it) is re-raised here,
+// on the coordinator.
 func (ss *ShardedSimulator) runOneWindow(h, limit Time) int {
 	ss.inWindow = true
-	active := 0
-	var only *Simulator
-	for _, s := range ss.shards {
+	active, only := 0, 0
+	for i, s := range ss.shards {
 		if at := s.nextAt(); at < h && at <= limit {
 			active++
-			only = s
+			only = i
 		}
 	}
 	switch {
-	case active == 0:
-		// Nothing eligible: all pending work is in outbox lanes.
 	case active == 1:
-		only.runWindow(h, limit)
-	default:
+		ss.runShard(only, h, limit)
+	case active > 1:
 		var wg sync.WaitGroup
-		for _, s := range ss.shards {
+		for i, s := range ss.shards {
 			if at := s.nextAt(); !(at < h && at <= limit) {
 				continue
 			}
 			wg.Add(1)
-			go func(s *Simulator) {
+			go func(i int) {
 				defer wg.Done()
-				s.runWindow(h, limit)
-			}(s)
+				ss.runShard(i, h, limit)
+			}(i)
 		}
 		wg.Wait()
 	}
 	ss.inWindow = false
+	raise(ss.failed)
 	return active
 }
 
-// deliver drains every outbox lane into its destination shard. For each
-// destination the k source lanes — each already in (time, seq) order — are
-// combined by a streaming k-way merge keyed on (time, source shard, source
-// seq), and the merged run is batch-pushed into the destination heap. The
-// global delivery order this produces is exactly the old single-sort
-// order: sequence numbers only break ties within one shard's heap, and
-// within each destination the merge emits (time, src, seq) order.
-func (ss *ShardedSimulator) deliver() {
-	k := len(ss.shards)
-	total := 0
-	for i := range ss.lanes {
-		ln := &ss.lanes[i]
-		total += len(ln.evs)
-		if !ln.sorted {
-			sortLane(ln.evs)
-			ln.sorted = true
+// runShard runs shard i's part of the window, recording a panic in
+// ss.failed[i] instead of letting it unwind the window goroutine.
+func (ss *ShardedSimulator) runShard(i int, h, limit Time) {
+	defer func() {
+		if r := recover(); r != nil {
+			ss.failed[i] = recovered(fmt.Sprintf("sim: shard %d window to %v", i, h), r)
 		}
-	}
-	if total == 0 {
-		return
-	}
-	if ss.prof != nil {
-		ss.prof.Delivered += uint64(total)
-	}
-	for dst := 0; dst < k; dst++ {
-		ss.batch = ss.batch[:0]
-		ss.mergeForDst(dst)
-		if len(ss.batch) > 0 {
-			ss.shards[dst].scheduleBatch(ss.batch)
-			for i := range ss.batch {
-				ss.batch[i].fn = nil
-			}
-		}
-	}
-	for i := range ss.lanes {
-		ln := &ss.lanes[i]
-		for j := range ln.evs {
-			ln.evs[j].fn = nil
-		}
-		ln.evs = ln.evs[:0]
-	}
-}
-
-// mergeForDst appends destination dst's lanes to ss.batch in (time, source
-// shard, source seq) order. Source count k is small (≤ GOMAXPROCS), so a
-// linear scan of the lane heads beats a tournament tree: each pick is a
-// handful of predictable compares over cache-resident heads.
-func (ss *ShardedSimulator) mergeForDst(dst int) {
-	k := len(ss.shards)
-	// heads[src] indexes the next unconsumed event in lane (src, dst).
-	var headsArr [16]int
-	var heads []int
-	if k <= len(headsArr) {
-		heads = headsArr[:k]
-		for i := range heads {
-			heads[i] = 0
-		}
-	} else {
-		heads = make([]int, k)
-	}
-	for {
-		best := -1
-		var bestAt Time
-		for src := 0; src < k; src++ {
-			evs := ss.lanes[src*k+dst].evs
-			if heads[src] >= len(evs) {
-				continue
-			}
-			at := evs[heads[src]].at
-			// Strict < keeps the lowest source shard on ties: the
-			// (time, src, seq) delivery key.
-			if best < 0 || at < bestAt {
-				best, bestAt = src, at
-			}
-		}
-		if best < 0 {
-			return
-		}
-		ss.batch = append(ss.batch, ss.lanes[best*k+dst].evs[heads[best]])
-		heads[best]++
-	}
-}
-
-// sortLane restores a lane's (time, seq) order — the fallback for the rare
-// sender that emits at non-monotone times within one window. seq is unique
-// within a lane, so the unstable sort is deterministic.
-func sortLane(evs []laneEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := &evs[i], &evs[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.seq < b.seq
-	})
-}
-
-// scheduleBatch pushes a merged run of cross-shard events into the shard's
-// heap as one batch: allocate and append every event — assigning sequence
-// numbers in batch order, which is the delivery order — then restore heap
-// order with one bounded Floyd pass over the ancestor cone of the appended
-// region. The pass costs O(batch + log heap) instead of a sift per event,
-// and any valid heap arrangement pops in identical (time, seq) order, so
-// the batch path is byte-equivalent to per-event At calls.
-func (s *Simulator) scheduleBatch(evs []laneEvent) {
-	n0 := len(s.heap)
-	for i := range evs {
-		e := s.alloc(evs[i].at, evs[i].fn)
-		s.heap = append(s.heap, e)
-		s.arena[e.idx].pos = int32(n0 + i)
-	}
-	n := len(s.heap)
-	if n == n0 {
-		return
-	}
-	if n0 == 0 {
-		for i := (n - 2) / heapArity; i >= 0; i-- {
-			s.siftDown(i)
-		}
-		return
-	}
-	// Sift down every ancestor of the appended region, deepest level
-	// first: when a node is processed its children's subtrees are already
-	// valid heaps (appended leaves trivially, older nodes by induction).
-	lo, hi := (n0-1)/heapArity, (n-2)/heapArity
-	for {
-		for i := hi; i >= lo; i-- {
-			s.siftDown(i)
-		}
-		if lo == 0 {
-			return
-		}
-		lo, hi = (lo-1)/heapArity, (hi-1)/heapArity
-	}
+	}()
+	ss.shards[i].runWindow(h, limit)
 }
 
 // BarrierStats accumulates the cost profile of the sharded run: how many
-// safe windows executed, how much work each held, how much of it crossed
-// shards, and — wall-clock, so nondeterministic and excluded from
-// deterministic artifacts — where the time went. Enable with Profile.
+// safe windows executed, how much work each held, and — wall-clock, so
+// nondeterministic and excluded from deterministic artifacts — where the
+// time went. Enable with Profile.
 type BarrierStats struct {
 	// Windows is the number of safe windows executed.
 	Windows uint64
 	// Fired is the number of events executed inside windows.
 	Fired uint64
-	// Delivered is the number of cross-shard events delivered at barriers.
+	// Delivered always reads 0: shards exchange no events. The field is
+	// kept for readers of the profile that still report it.
 	Delivered uint64
 	// SoloWindows counts windows in which at most one shard had eligible
 	// work — windows that ran inline, with zero parallelism to harvest.
@@ -524,12 +286,12 @@ type BarrierStats struct {
 	// MaxWindowFired is the largest single-window event count.
 	MaxWindowFired uint64
 	// WindowNanos and BarrierNanos split the run's wall-clock between the
-	// parallel window region and the barrier (delivery + barrier hook).
-	// DeliverNanos and SweepNanos split BarrierNanos further: the
-	// cross-shard merge-and-push (the merge wall) versus the barrier hook
-	// (the sweep wall — where the fleet's detection sweep runs, the part
-	// BarrierParallelism exists to shrink). BarrierNanos is always their
-	// sum. Wall-clock: nondeterministic across runs and hosts.
+	// parallel window region and the barrier hook. SweepNanos is the
+	// hook's time (where the fleet's detection sweep runs, the part
+	// BarrierParallelism exists to shrink) and equals BarrierNanos;
+	// DeliverNanos always reads 0 and, like Delivered, is kept for
+	// readers of the profile. Wall-clock: nondeterministic across runs
+	// and hosts.
 	WindowNanos  int64
 	BarrierNanos int64
 	DeliverNanos int64

@@ -15,9 +15,8 @@ type shardStressResult struct {
 
 // runShardStress drives ~100k events through a sharded kernel: 64 keyed
 // components assigned to shards by identity hash, each growing a local
-// event chain (with random Stops exercising arena reuse mid-run), plus
-// cross-shard sends through the lookahead mailbox. It mirrors
-// TestKernelStressCrossCheck, with the cross-shard dimension added.
+// event chain (with random Stops exercising arena reuse mid-run). It
+// mirrors TestKernelStressCrossCheck, with the shard dimension added.
 //
 // Every decision draws from a per-key RNG stream in the key's own event
 // order, so the workload is identical at any shard count.
@@ -26,21 +25,18 @@ func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 	const (
 		keys      = 64
 		initial   = 8
-		capLocal  = 1300
-		capCross  = 200
+		capLocal  = 1500
 		lookahead = 1.0
 	)
 	ss := NewSharded(shards, lookahead)
 	root := NewRNG(777)
 
-	observed := make([][]float64, keys)     // appended only by key's own shard
-	localAt := make([][]float64, keys)      // every locally scheduled time
-	localStopped := make([][]bool, keys)    // which of those were stopped
-	crossSent := make([][][2]float64, keys) // per sender: (dstKey, at)
+	observed := make([][]float64, keys)  // appended only by key's own shard
+	localAt := make([][]float64, keys)   // every locally scheduled time
+	localStopped := make([][]bool, keys) // which of those were stopped
 	timers := make([]map[int]Timer, keys)
 	rngs := make([]*RNG, keys)
 	localCount := make([]int, keys)
-	crossCount := make([]int, keys)
 	shardOf := make([]int, keys)
 	for k := 0; k < keys; k++ {
 		rngs[k] = root.Fork(fmt.Sprintf("key%02d", k))
@@ -77,16 +73,6 @@ func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 					delete(timers[k], victim)
 				}
 			}
-			// Cross-shard send to another key, one lookahead or more ahead.
-			if rng.Float64() < 0.2 && crossCount[k] < capCross {
-				dst := (k + 1 + rng.Intn(keys-1)) % keys
-				at := now + lookahead + rng.Float64()
-				crossSent[k] = append(crossSent[k], [2]float64{float64(dst), at})
-				crossCount[k]++
-				ss.Send(shardOf[k], shardOf[dst], at, fmt.Sprintf("key%02d", k), func() {
-					observed[dst] = append(observed[dst], ss.Shard(shardOf[dst]).Now())
-				})
-			}
 		}
 	}
 	for k := 0; k < keys; k++ {
@@ -96,8 +82,8 @@ func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 	}
 	ss.Run()
 
-	// Reference: per key, every locally scheduled un-stopped time plus
-	// every time cross-sent to it, sorted ascending. Times are continuous
+	// Reference: per key, every locally scheduled un-stopped time, sorted
+	// ascending. Times are continuous
 	// draws from independent streams, so per-key ties never arise and the
 	// sorted order is the one legal firing order.
 	want := make([][]float64, keys)
@@ -106,12 +92,6 @@ func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 			if !localStopped[k][id] {
 				want[k] = append(want[k], at)
 			}
-		}
-	}
-	for k := 0; k < keys; k++ {
-		for _, s := range crossSent[k] {
-			dst := int(s[0])
-			want[dst] = append(want[dst], s[1])
 		}
 	}
 	for k := 0; k < keys; k++ {

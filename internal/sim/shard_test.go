@@ -63,68 +63,6 @@ func TestShardedEventAtExactLimitRuns(t *testing.T) {
 	}
 }
 
-// TestShardedCrossShardDelivery bounces a token between shards through
-// Send: each hop re-sends to the next shard one lookahead later, and the
-// observed hop times must follow the lookahead chain exactly.
-func TestShardedCrossShardDelivery(t *testing.T) {
-	const hops = 16
-	ss := NewSharded(4, 1)
-	var log []string
-	var hop func(n int) func()
-	hop = func(n int) func() {
-		return func() {
-			src := n % 4
-			log = append(log, fmt.Sprintf("hop%d@%g on s%d", n, ss.Shard(src).Now(), src))
-			if n+1 < hops {
-				dst := (n + 1) % 4
-				ss.Send(src, dst, ss.Shard(src).Now()+1, "token", hop(n+1))
-			}
-		}
-	}
-	ss.Shard(0).At(1, hop(0))
-	ss.Run()
-	if len(log) != hops {
-		t.Fatalf("saw %d hops, want %d: %v", len(log), hops, log)
-	}
-	for n, entry := range log {
-		want := fmt.Sprintf("hop%d@%g on s%d", n, float64(n+1), n%4)
-		if entry != want {
-			t.Fatalf("hop %d: got %q, want %q", n, entry, want)
-		}
-	}
-}
-
-func TestShardedSendLookaheadViolationPanics(t *testing.T) {
-	ss := NewSharded(2, 1)
-	ss.Shard(0).At(5, func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Error("in-window send inside the lookahead bound did not panic")
-				return
-			}
-			// The diagnostic must name the offending component.
-			if msg := fmt.Sprint(r); !strings.Contains(msg, "offender-x") {
-				t.Errorf("lookahead panic %q does not name the origin component", msg)
-			}
-		}()
-		ss.Send(0, 1, 5.5, "offender-x", func() {}) // < now+lookahead = 6
-	})
-	ss.Run()
-}
-
-func TestShardedSetupSendDelivered(t *testing.T) {
-	ss := NewSharded(2, 1)
-	fired := 0.0
-	// A send buffered before the run starts (setup, not in a window) only
-	// needs to be in the source's future.
-	ss.Send(0, 1, 0.25, "setup", func() { fired = ss.Shard(1).Now() })
-	ss.Run()
-	if fired != 0.25 {
-		t.Fatalf("setup send fired at %v, want 0.25", fired)
-	}
-}
-
 // TestShardedBarrierHook asserts the barrier hook runs after every window
 // with strictly increasing horizons, and that everything executed so far
 // is strictly before the reported horizon.
@@ -279,4 +217,69 @@ func TestShardedStationsPerShard(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardForBalance hashes 1M identities and checks the max/min shard
+// population stays within 2% of the mean — the placement balance the
+// fleet relies on, which is why the kernel needs no placement plan.
+func TestShardForBalance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-identity balance check skipped in -short")
+	}
+	for _, shards := range []int{4, 8} {
+		ss := NewSharded(shards, 1)
+		counts := make([]int, shards)
+		const n = 1 << 20
+		for i := 0; i < n; i++ {
+			counts[ss.ShardFor(fmt.Sprintf("component-%07d", i))]++
+		}
+		min, max := counts[0], counts[0]
+		for _, c := range counts[1:] {
+			if c < min {
+				min = c
+			}
+			if c > max {
+				max = c
+			}
+		}
+		mean := float64(n) / float64(shards)
+		if spread := float64(max-min) / mean; spread > 0.02 {
+			t.Fatalf("%d shards: population spread %.4f of mean (min %d, max %d) exceeds 2%%",
+				shards, spread, min, max)
+		}
+	}
+}
+
+// TestShardedWindowPanicNamesShard panics in an event on shard 1 of 2
+// while shard 0 also has work in the window, so the two run on window
+// goroutines. The panic must surface on the coordinator, naming the shard
+// and the window horizon, after shard 0 finished its window; and the
+// barrier pool must still close cleanly.
+func TestShardedWindowPanicNamesShard(t *testing.T) {
+	ss := NewSharded(2, 1)
+	pool := ss.BarrierPool()
+	shard0Done := false
+	ss.Shard(0).At(0.5, func() {})
+	ss.Shard(0).At(0.75, func() { shard0Done = true })
+	ss.Shard(1).At(0.5, func() { panic("boom") })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		ss.Run()
+		return nil
+	}()
+	msg, ok := got.(string)
+	if !ok {
+		t.Fatalf("recovered %T %v, want a string panic", got, got)
+	}
+	if want := "sim: shard 1 window to 1.5: boom\n"; !strings.HasPrefix(msg, want) {
+		t.Fatalf("panic message %q, want prefix %q", msg, want)
+	}
+	if !strings.Contains(msg, "goroutine ") {
+		t.Fatalf("panic message carries no stack of the failing goroutine: %q", msg)
+	}
+	if !shard0Done {
+		t.Fatal("the panic unwound before shard 0 finished its window")
+	}
+	pool.Close()
+	pool.Close()
 }

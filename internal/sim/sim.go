@@ -303,8 +303,8 @@ func (s *Simulator) nextAt() Time {
 // runWindow executes every queued event with time strictly before h and
 // not after limit, leaving the clock at the last executed event. It is the
 // per-shard body of the sharded coordinator's safe window: events at or
-// beyond the horizon h belong to a later window, because another shard may
-// still deliver events ahead of them.
+// beyond the horizon h belong to a later window, after the barrier hook at
+// h has run.
 func (s *Simulator) runWindow(h, limit Time) {
 	for len(s.heap) > 0 {
 		at := s.heap[0].at

@@ -12,7 +12,7 @@ import (
 func TestSetTelemetryInstallsPerShardCollectors(t *testing.T) {
 	ss := NewSharded(3, 1)
 	dst := trace.NewTracer()
-	ss.SetTelemetry(TelemetrySinks{Tracer: dst})
+	ss.SetTelemetry(dst, nil)
 	seen := map[*trace.Tracer]bool{}
 	for i := 0; i < 3; i++ {
 		tr := ss.ShardTracer(i)
@@ -34,7 +34,7 @@ func TestSetTelemetryInstallsPerShardCollectors(t *testing.T) {
 func TestMergeTelemetryFoldsAtMaxClockAndDetaches(t *testing.T) {
 	ss := NewSharded(2, 1)
 	dst := trace.NewTracer()
-	ss.SetTelemetry(TelemetrySinks{Tracer: dst})
+	ss.SetTelemetry(dst, nil)
 	a := NewStation(ss.Shard(0), "a", 1e6)
 	b := NewStation(ss.Shard(1), "b", 1e6)
 	a.SetTracer(ss.ShardTracer(0))
@@ -70,9 +70,9 @@ func TestMergeTelemetryFoldsAtMaxClockAndDetaches(t *testing.T) {
 
 // TestShardedUntracedZeroAllocs pins the telemetry-off sharded hot path
 // at zero allocations: with no SetTelemetry call, ShardTracer is nil,
-// stations take the disabled-tracer branch, and the window loop reuses
-// its buffers — submitting and running windows must not allocate once
-// the arenas have warmed up. Only one shard carries work so the window
+// stations take the disabled-tracer branch, and the window loop holds
+// no buffers of its own — submitting and running windows must not
+// allocate once the arenas have warmed up. Only one shard carries work so the window
 // runs inline; the multi-active case spawns per-window goroutines, a
 // cost of the parallel schedule itself, not of telemetry.
 func TestShardedUntracedZeroAllocs(t *testing.T) {
@@ -81,7 +81,7 @@ func TestShardedUntracedZeroAllocs(t *testing.T) {
 	if ss.ShardTracer(0) != nil {
 		t.Fatal("telemetry collectors present without SetTelemetry")
 	}
-	for i := 0; i < 4096; i++ { // warm rings, arenas, timer pools, window buffers
+	for i := 0; i < 4096; i++ { // warm rings, arenas, timer pools
 		a.SubmitFunc(1, nil)
 	}
 	limit := 8.0

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
@@ -138,135 +137,6 @@ func TestTracerMergeAppliesDstOffset(t *testing.T) {
 	sp := dst.Spans()[0]
 	if sp.Start != 101 || sp.End != 102 {
 		t.Fatalf("merged span at [%g,%g], want [101,102]", sp.Start, sp.End)
-	}
-}
-
-func TestRegistryMergeMatchesSingleRegistry(t *testing.T) {
-	// feed writes the same observations through pick(shard)'s registry.
-	// Values are dyadic so the float folds are exact under any addition
-	// order: in production each instrument key has one shard-local
-	// writer, but this test deliberately folds one key across four parts
-	// to exercise the accumulation itself.
-	feed := func(pick func(i int) *Registry) {
-		for i := 0; i < 32; i++ {
-			r := pick(i % 4)
-			r.Counter("events", L("shard", "all")).Inc()
-			h := r.Histogram("lat", 1e-3, 10, 24)
-			h.Observe(0.25 * float64(i+1))
-			if i == 7 {
-				h.Observe(math.NaN())
-			}
-			m := r.Meter("avail", 0.5)
-			m.Offered()
-			m.Completed(0.125 * float64(i+1))
-			r.Series("depth", L("comp", "d")).Add(float64(i), float64(i%5))
-		}
-	}
-
-	ref := NewRegistry()
-	feed(func(int) *Registry { return ref })
-	single := NewRegistry()
-	single.Merge(ref)
-
-	parts := []*Registry{NewRegistry(), NewRegistry(), NewRegistry(), NewRegistry()}
-	feed(func(i int) *Registry { return parts[i] })
-	merged := NewRegistry()
-	merged.Merge(parts[0], parts[1], parts[2], parts[3])
-
-	var a, b bytes.Buffer
-	if err := single.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("merged registry differs from single-registry reference:\n--- single\n%s\n--- merged\n%s", a.Bytes(), b.Bytes())
-	}
-	// Exact folds, spot-checked.
-	if got := merged.Counter("events", L("shard", "all")).Value(); got != 32 {
-		t.Fatalf("merged counter = %d, want 32", got)
-	}
-	h := merged.Histogram("lat", 1e-3, 10, 24)
-	if h.Count() != 32 || h.NaNCount() != 1 {
-		t.Fatalf("merged histogram count=%d nan=%d, want 32/1", h.Count(), h.NaNCount())
-	}
-	if h.Min() != 0.25 || h.Max() != 8 {
-		t.Fatalf("merged histogram min=%g max=%g", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramMergeLayoutMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched bucket layouts did not panic")
-		}
-	}()
-	NewHistogram(1, 10, 4).Merge(NewHistogram(1, 20, 4))
-}
-
-func TestMeterMergeThresholdMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging mismatched thresholds did not panic")
-		}
-	}()
-	NewAvailabilityMeter(1).Merge(NewAvailabilityMeter(2))
-}
-
-func TestSeriesMergeInterleavesAndPartWinsTies(t *testing.T) {
-	s := &Series{}
-	s.Add(1, 10)
-	s.Add(3, 30)
-	p := &Series{}
-	p.Add(2, 20)
-	p.Add(3, 99)
-	p.Add(4, 40)
-	s.merge(p)
-	wantT := []float64{1, 2, 3, 4}
-	wantV := []float64{10, 20, 99, 40}
-	if len(s.Times) != len(wantT) {
-		t.Fatalf("merged %d samples, want %d", len(s.Times), len(wantT))
-	}
-	for i := range wantT {
-		if s.Times[i] != wantT[i] || s.Values[i] != wantV[i] {
-			t.Fatalf("sample %d = (%g,%g), want (%g,%g)", i, s.Times[i], s.Values[i], wantT[i], wantV[i])
-		}
-	}
-}
-
-func TestAuditMergeOrderIsPlacementInvariant(t *testing.T) {
-	rec := func(time float64, comp string) AuditRecord {
-		return AuditRecord{Time: time, Component: comp, Detector: "spec", Kind: AuditTransition, From: "nominal", To: "perf-faulty"}
-	}
-	a, b := NewAuditLog(), NewAuditLog()
-	a.Add(rec(1, "disk-0"))
-	a.Add(rec(2, "disk-0"))
-	b.Add(rec(1, "disk-1"))
-	b.Add(rec(2, "disk-1"))
-
-	ab, ba := NewAuditLog(), NewAuditLog()
-	ab.Merge(a, b)
-	ba.Merge(b, a)
-	var x, y bytes.Buffer
-	if err := ab.WriteJSON(&x); err != nil {
-		t.Fatal(err)
-	}
-	if err := ba.WriteJSON(&y); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(x.Bytes(), y.Bytes()) {
-		t.Fatalf("audit merge depends on part order:\n%s\nvs\n%s", x.Bytes(), y.Bytes())
-	}
-	got := ab.Records()
-	want := []struct {
-		t float64
-		c string
-	}{{1, "disk-0"}, {1, "disk-1"}, {2, "disk-0"}, {2, "disk-1"}}
-	for i, w := range want {
-		if got[i].Time != w.t || got[i].Component != w.c {
-			t.Fatalf("record %d = (%g,%s), want (%g,%s)", i, got[i].Time, got[i].Component, w.t, w.c)
-		}
 	}
 }
 
