@@ -14,7 +14,7 @@ func saturatedStation(s *sim.Simulator, name string, rate float64) (*sim.Station
 	st := sim.NewStation(s, name, rate)
 	var refill func()
 	refill = func() {
-		st.SubmitFunc(rate/10, func(*sim.Request) { refill() })
+		st.Submit(&sim.Request{Size: rate / 10, OnDone: func(*sim.Request) { refill() }})
 	}
 	refill()
 	return st, func() float64 { return float64(st.Completed()) * rate / 10 }

@@ -232,7 +232,7 @@ func TestDetectionPipelineEndToEnd(t *testing.T) {
 	// Keep the station saturated.
 	var refill func()
 	refill = func() {
-		st.SubmitFunc(50, func(*sim.Request) { refill() })
+		st.Submit(&sim.Request{Size: 50, OnDone: func(*sim.Request) { refill() }})
 	}
 	refill()
 	// Slow to 30% at t=60.

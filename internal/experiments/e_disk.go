@@ -192,15 +192,22 @@ func runE07(cfg Config) *Table {
 			meter := tel.meter("stream-deadline", buffer,
 				trace.L("buffer", fmt.Sprintf("%.1fs", buffer)),
 				trace.L("recal", fmt.Sprintf("%.1fs", recal)))
-			// A 2 MB/s stream in 0.5 MB requests every 0.25 s.
+			// A 2 MB/s stream in 0.5 MB requests every 0.25 s. Each
+			// arrival schedules the next, so the pending set holds one
+			// arrival rather than the whole stream.
 			n := int(float64(seconds) / 0.25)
-			for i := 0; i < n; i++ {
-				at := float64(i) * 0.25
-				s.At(at, func() {
-					meter.Offered()
-					blk := int64(i%1000) * 128
-					d.Read(blk, 128, func(lat float64) { meter.Completed(lat) })
-				})
+			completed := meter.Completed
+			i := 0
+			var arrive func()
+			arrive = func() {
+				meter.Offered()
+				d.Read(int64(i%1000)*128, 128, completed)
+				if i++; i < n {
+					s.At(float64(i)*0.25, arrive)
+				}
+			}
+			if n > 0 {
+				s.At(0, arrive)
 			}
 			s.Run()
 			tel.endRun(s)

@@ -80,10 +80,10 @@ func runE28(cfg Config) *Table {
 			}
 		}
 		var makespan float64
-		srv.SubmitFunc(bytesPerTrial, func(r *sim.Request) {
+		srv.Submit(&sim.Request{Size: bytesPerTrial, OnDone: func(r *sim.Request) {
 			makespan = r.Latency()
 			s.Stop()
-		})
+		}})
 		s.Run()
 		return bytesPerTrial / makespan
 	}

@@ -293,7 +293,7 @@ func TestInjectorsOnStation(t *testing.T) {
 	c := NewComposite(st)
 	PeriodicStall{Period: 5, Duration: 1, Until: 100}.Install(s, c)
 	var finished sim.Time
-	st.SubmitFunc(100, func(r *sim.Request) { finished = r.Finished })
+	st.Submit(&sim.Request{Size: 100, OnDone: func(r *sim.Request) { finished = r.Finished }})
 	s.Run()
 	// 10 s of service; stalls at 5,11(=10+1 shifted)... Work of 100 units at
 	// rate 10 requires 10 busy seconds; each stall adds 1 s. The finish time

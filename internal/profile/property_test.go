@@ -35,7 +35,7 @@ func randomWorkload(seed uint64, sample bool) (*trace.Tracer, *trace.Registry) {
 		st := stations[rng.Intn(n)]
 		at := rng.Uniform(0, 2)
 		size := rng.Uniform(1, 50)
-		s.After(at, func() { st.SubmitFunc(size, nil) })
+		s.After(at, func() { st.Submit(&sim.Request{Size: size}) })
 	}
 	s.Run()
 	tr.Flush(s.Now())
@@ -126,7 +126,7 @@ func TestStationSamplerQueueStats(t *testing.T) {
 	st := sim.NewStation(s, "st-0", 100)
 	st.SetTracer(tr)
 	for i := 0; i < 5; i++ {
-		st.SubmitFunc(100, nil) // 1s each, all submitted at t=0
+		st.Submit(&sim.Request{Size: 100}) // 1s each, all submitted at t=0
 	}
 	s.Run()
 	tr.Flush(s.Now())

@@ -1,7 +1,9 @@
 package raid
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"failstutter/internal/device"
@@ -543,9 +545,9 @@ func TestMirrorPairAdoptedSpareLosesWritesInIssueOrder(t *testing.T) {
 	}
 }
 
-// A mirrored write on a healthy, untraced pair allocates its op, one
-// completion callback per member, and each member disk's request and
-// callback; the pending set and the issue-order list cost nothing.
+// A mirrored write on a healthy, untraced pair allocates nothing in steady
+// state: the write op and each member disk's access record are recycled,
+// and the pending set and the issue-order list cost nothing.
 func TestWriteBlockSpanAllocs(t *testing.T) {
 	s := sim.New()
 	p := NewMirrorPair(s, 0, testDisk(s, "a", 1e6), testDisk(s, "b", 1e6))
@@ -553,7 +555,23 @@ func TestWriteBlockSpanAllocs(t *testing.T) {
 		p.WriteBlockSpan(0, nil, nil)
 		s.Run()
 	})
-	if allocs != 7 {
-		t.Fatalf("WriteBlockSpan allocates %v times per write, want 7", allocs)
+	if allocs != 0 {
+		t.Fatalf("WriteBlockSpan allocates %v times per write, want 0", allocs)
 	}
+}
+
+// A copy that lands on a write record after the record was released
+// panics instead of resolving whichever write reuses the record.
+func TestReleasedWriteOpIsPoisoned(t *testing.T) {
+	s := sim.New()
+	p := NewMirrorPair(s, 0, testDisk(s, "a", 1e6), testDisk(s, "b", 1e6))
+	p.WriteBlock(nil, nil)
+	s.Run()
+	op := p.free
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "writeOp landed after its release") {
+			t.Fatalf("stale landing recovered %v, want the writeOp poison panic", r)
+		}
+	}()
+	op.landedA(0)
 }

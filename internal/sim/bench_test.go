@@ -38,7 +38,7 @@ func BenchmarkStationThroughput(b *testing.B) {
 	st := NewStation(s, "bench", 1e6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.SubmitFunc(1, nil)
+		st.Submit(&Request{Size: 1})
 		if st.QueueLen() > 1024 {
 			s.Run()
 		}
@@ -49,7 +49,7 @@ func BenchmarkStationThroughput(b *testing.B) {
 func BenchmarkStationRateChanges(b *testing.B) {
 	s := New()
 	st := NewStation(s, "bench", 1e6)
-	st.SubmitFunc(float64(b.N)+1e9, nil)
+	st.Submit(&Request{Size: float64(b.N) + 1e9})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.SetMultiplier(0.5 + float64(i%2)/2)
@@ -124,7 +124,7 @@ func BenchmarkStationPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.SubmitFunc(1, nil)
+		st.Submit(&Request{Size: 1})
 		if st.QueueLen() >= 4096 {
 			s.Run()
 		}
@@ -144,7 +144,7 @@ func BenchmarkStationPipelineTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.SubmitFunc(1, nil)
+		st.Submit(&Request{Size: 1})
 		if st.QueueLen() >= 4096 {
 			s.Run()
 			st.SetTracer(trace.NewTracer())

@@ -7,18 +7,28 @@ import (
 )
 
 // A station serves work at a time-varying rate; a performance fault is
-// just a multiplier.
+// just a multiplier. The caller owns its Request and may resubmit it from
+// its own OnDone, so a closed loop allocates one record for its whole run.
 func ExampleStation() {
 	s := sim.New()
 	st := sim.NewStation(s, "disk", 10) // 10 units/s
-	st.SubmitFunc(100, func(r *sim.Request) {
-		fmt.Printf("finished at t=%v\n", r.Finished)
-	})
-	// Halve the rate five seconds in: the remaining 50 units take 10 s.
+	served := 0
+	req := sim.Request{Size: 100}
+	req.OnDone = func(r *sim.Request) {
+		served++
+		fmt.Printf("request %d finished at t=%v\n", served, r.Finished)
+		if served < 2 {
+			st.Submit(r)
+		}
+	}
+	st.Submit(&req)
+	// Halve the rate five seconds in: the remaining 50 units of the first
+	// request take 10 s, and the resubmitted second request takes 20 s.
 	s.At(5, func() { st.SetMultiplier(0.5) })
 	s.Run()
 	// Output:
-	// finished at t=15
+	// request 1 finished at t=15
+	// request 2 finished at t=35
 }
 
 // Deterministic random streams: forking by name isolates components.

@@ -196,10 +196,10 @@ func TestShardedStationsPerShard(t *testing.T) {
 			left := 20
 			pump = func(r *Request) {
 				if left--; left > 0 {
-					st.SubmitFunc(1, pump)
+					st.Submit(&Request{Size: 1, OnDone: pump})
 				}
 			}
-			st.SubmitFunc(1, pump)
+			st.Submit(&Request{Size: 1, OnDone: pump})
 		}
 		ss.Run()
 		out := make([]uint64, n)

@@ -180,11 +180,11 @@ func TestZeroTimer(t *testing.T) {
 func TestStationRepairResetsProgressClock(t *testing.T) {
 	s := New()
 	st := NewStation(s, "d0", 10)
-	st.SubmitFunc(100, nil) // would finish at t=10
+	st.Submit(&Request{Size: 100}) // would finish at t=10
 	s.At(5, func() { st.Fail() })
 	s.At(20, func() { st.Repair() })
 	var finished Time
-	s.At(20, func() { st.SubmitFunc(100, func(r *Request) { finished = r.Finished }) })
+	s.At(20, func() { st.Submit(&Request{Size: 100, OnDone: func(r *Request) { finished = r.Finished }}) })
 	s.Run()
 	if !almostEqual(finished, 30, 1e-9) {
 		t.Fatalf("post-repair request finished at %v, want 30", finished)
@@ -210,7 +210,7 @@ func TestStationDeepQueueFIFO(t *testing.T) {
 		for i := 0; i < 700 && submitted < n; i++ {
 			id := submitted
 			submitted++
-			st.SubmitFunc(1, func(*Request) { order = append(order, id) })
+			st.Submit(&Request{Size: 1, OnDone: func(*Request) { order = append(order, id) }})
 		}
 		if submitted < n {
 			s.After(0.1, burst)

@@ -39,8 +39,8 @@ func TestMergeTelemetryFoldsAtMaxClockAndDetaches(t *testing.T) {
 	b := NewStation(ss.Shard(1), "b", 1e6)
 	a.SetTracer(ss.ShardTracer(0))
 	b.SetTracer(ss.ShardTracer(1))
-	a.SubmitFunc(1e6, nil) // 1 s of service on shard 0
-	b.SubmitFunc(3e6, nil) // 3 s of service on shard 1
+	a.Submit(&Request{Size: 1e6}) // 1 s of service on shard 0
+	b.Submit(&Request{Size: 3e6}) // 3 s of service on shard 1
 	ss.Run()
 	end := ss.MergeTelemetry()
 	if end < 3 {
@@ -82,7 +82,7 @@ func TestShardedUntracedZeroAllocs(t *testing.T) {
 		t.Fatal("telemetry collectors present without SetTelemetry")
 	}
 	for i := 0; i < 4096; i++ { // warm rings, arenas, timer pools
-		a.SubmitFunc(1, nil)
+		a.Submit(&Request{Size: 1})
 	}
 	limit := 8.0
 	ss.RunUntil(limit)

@@ -69,8 +69,8 @@ func TestStationFailRepairSpans(t *testing.T) {
 	tr := trace.NewTracer()
 	st.SetTracer(tr)
 
-	st.SubmitFunc(100, nil) // in service, would finish at t=100
-	st.SubmitFunc(100, nil) // queued
+	st.Submit(&Request{Size: 100}) // in service, would finish at t=100
+	st.Submit(&Request{Size: 100}) // queued
 	s.After(5, st.Fail)
 	s.After(7, st.Repair)
 	s.Run()
@@ -107,14 +107,14 @@ func TestStationSetTracerNilDetaches(t *testing.T) {
 	st := NewStation(s, "disk0", 10)
 	tr := trace.NewTracer()
 	st.SetTracer(tr)
-	st.SubmitFunc(10, nil)
+	st.Submit(&Request{Size: 10})
 	s.Run()
 	n := tr.Len()
 	if n == 0 {
 		t.Fatal("traced request recorded no spans")
 	}
 	st.SetTracer(nil)
-	st.SubmitFunc(10, nil)
+	st.Submit(&Request{Size: 10})
 	s.Run()
 	if got := tr.Len(); got != n {
 		t.Fatalf("detached station still recorded spans: %d -> %d", n, got)
@@ -150,7 +150,7 @@ func TestStationUntracedZeroAllocs(t *testing.T) {
 	s := New()
 	st := NewStation(s, "bench", 1e6)
 	for i := 0; i < 8192; i++ { // warm the ring, arena, and timer pool
-		st.SubmitFunc(1, nil)
+		st.Submit(&Request{Size: 1})
 	}
 	s.Run()
 	req := &Request{}

@@ -1,6 +1,7 @@
 package wind
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -79,8 +80,8 @@ func TestVolumeIdleStaysNominal(t *testing.T) {
 	v := mustVolume(s, Adaptive)
 	s.RunUntil(100)
 	for i := 0; i < 6; i++ {
-		if v.Controller().State(nodeID(i)) != spec.Nominal {
-			t.Fatalf("idle node %d state = %v", i, v.Controller().State(nodeID(i)))
+		if v.Controller().State(fmt.Sprintf("node-%d", i)) != spec.Nominal {
+			t.Fatalf("idle node %d state = %v", i, v.Controller().State(fmt.Sprintf("node-%d", i)))
 		}
 	}
 	if v.Controller().Registry().Notifications() != 0 {
